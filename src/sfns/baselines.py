@@ -39,7 +39,7 @@ def build_trigram_index(docs: Iterable[tuple[str, str]]) -> TrigramIndex:
     for ext_id, text, toks in collected:
         ids = np.array([vocab[t] for t in toks], dtype=np.int64)
         weights = np.ones(len(toks), dtype=np.float64)
-        records.append((ext_id, text, SparseVector._raw(ids, weights)))
+        records.append((ext_id, text, SparseVector._raw(ids, weights), None))
     return TrigramIndex(vocab, index_mod.build(records))
 
 
@@ -48,12 +48,11 @@ def trigram_query_vector(tindex: TrigramIndex, query: str) -> SparseVector:
 
     Unknown trigrams have no postings and would score nothing, so they are
     omitted. A query whose words are all under 3 chars yields the empty
-    vector, which is the whole problem with this method.
+    vector, which is the whole problem with this method. Vocab ids follow
+    the sorted trigram strings, so sorting the strings sorts the ids.
     """
     distinct = sorted({t for t in trigrams(query) if t in tindex.vocab})
     ids = np.array([tindex.vocab[t] for t in distinct], dtype=np.int64)
-    order = np.argsort(ids)
-    ids = ids[order]
     weights = np.array([idf(tindex.index.stats, int(t)) for t in ids], dtype=np.float64)
     return SparseVector._raw(ids, weights)
 
@@ -176,9 +175,3 @@ class FuzzyRetriever:
             hits.append(SearchHit(doc_id=doc_id, score=score, rank=len(hits) + 1))
         return hits
 
-
-def fuzzy_retrieve(
-    texts: Sequence[str], query: str, config: FuzzyConfig, k: int
-) -> list[SearchHit]:
-    """One-shot convenience wrapper; doc ids are positions in texts."""
-    return FuzzyRetriever(texts, config).search(query, k)

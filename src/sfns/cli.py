@@ -229,17 +229,16 @@ def _cmd_index_build(args) -> int:
     docs = _read_docs(args.docs)
     if args.vectors:
         by_id = dict(load_external_vectors(args.vectors, model))
-        rows = []
-        for doc_id, text, payload in docs:
+        for doc_id, _, _ in docs:
             if doc_id not in by_id:
                 raise ValidationError(f"doc {doc_id!r} missing from {args.vectors}")
-            rows.append((doc_id, text, by_id[doc_id], payload))
-        index = index_mod.build(rows)
+        vectors = [by_id[doc_id] for doc_id, _, _ in docs]
     else:
         params = load_params(args.params) if args.params else None
-        index = retrieval.build_sparse_index(
-            model, [(d, t, p) for d, t, p in docs], params
-        )
+        vectors = [retrieval.doc_vector(model, text, params) for _, text, _ in docs]
+    index = index_mod.build(
+        (doc_id, text, vec, payload) for (doc_id, text, payload), vec in zip(docs, vectors)
+    )
     index.save(args.out)
     _emit(
         args,
@@ -364,9 +363,7 @@ def _make_retriever(args, docs):
     if args.method == "sparse":
         model = TokenizerModel.load(args.tokenizer)
         params = load_params(args.params) if args.params else None
-        index = retrieval.build_sparse_index(
-            model, [(d, t, p) for d, t, p in docs], params
-        )
+        index = retrieval.build_sparse_index(model, [(d, t) for d, t, _ in docs], params)
         return retrieval.make_sparse_retriever(index, model)
     if args.method == "trigram":
         tindex = baselines.build_trigram_index((d, t) for d, t, _ in docs)
@@ -379,10 +376,10 @@ def _make_retriever(args, docs):
     retr = baselines.FuzzyRetriever([t for _, t, _ in docs], config)
     ids = [d for d, _, _ in docs]
 
-    def fuzzy_retriever(query: str, k: int):
+    def fuzzy_search(query: str, k: int):
         return [ids[h.doc_id] for h in retr.search(query, k)]
 
-    return fuzzy_retriever
+    return fuzzy_search
 
 
 def _cmd_eval_run(args) -> int:
@@ -458,15 +455,6 @@ def _cmd_sim_replay(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker bound for parallel-safe stages (1 keeps runs bit-reproducible)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sfns",
@@ -485,7 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shrink-factor", type=float, default=0.75, dest="shrink_factor")
     p.add_argument("--em-iters", type=int, default=2, dest="em_iters")
     p.add_argument("--out", required=True)
-    _add_threads(p)
     p.set_defaults(func=_cmd_tokenize_train)
 
     p = tok.add_parser("apply")
@@ -494,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--text")
     group.add_argument("--input", help="one text per line")
     p.add_argument("--out")
-    _add_threads(p)
     p.set_defaults(func=_cmd_tokenize_apply)
 
     # encoder
@@ -514,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="parameter blob path")
-    _add_threads(p)
     p.set_defaults(func=_cmd_encoder_train)
 
     p = enc.add_parser("encode")
@@ -522,7 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True)
     p.add_argument("--input", required=True, help="docs JSONL")
     p.add_argument("--out", required=True, help="vectors JSONL")
-    _add_threads(p)
     p.set_defaults(func=_cmd_encoder_encode)
 
     # index
@@ -532,10 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = idx.add_parser("build")
     p.add_argument("--tokenizer", required=True)
     p.add_argument("--docs", required=True)
-    p.add_argument("--params", help="encoder params for learned doc expansion")
-    p.add_argument("--vectors", help="precomputed vectors JSONL")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--params", help="encoder params for learned doc expansion")
+    group.add_argument("--vectors", help="precomputed vectors JSONL")
     p.add_argument("--out", required=True)
-    _add_threads(p)
     p.set_defaults(func=_cmd_index_build)
 
     p = idx.add_parser("search")
@@ -545,13 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--weighting", choices=("idf", "none"), default="idf")
     p.add_argument("--out")
-    _add_threads(p)
     p.set_defaults(func=_cmd_index_search)
 
     p = idx.add_parser("stats")
     p.add_argument("--index", required=True)
     p.add_argument("--out")
-    _add_threads(p)
     p.set_defaults(func=_cmd_index_stats)
 
     # search
@@ -566,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edits", type=int, default=1, dest="max_edits")
     p.add_argument("--prefix-lock", type=int, default=0, dest="prefix_lock")
     p.add_argument("--out")
-    _add_threads(p)
     p.set_defaults(func=_cmd_search)
 
     # mine
@@ -579,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-engagements", type=int, default=1, dest="min_engagements"
     )
     p.add_argument("--out", required=True)
-    _add_threads(p)
     p.set_defaults(func=_cmd_mine_pairs)
 
     p = mine.add_parser("negatives")
@@ -589,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params")
     p.add_argument("--negatives", "-n", type=int, default=4)
     p.add_argument("--out", required=True)
-    _add_threads(p)
     p.set_defaults(func=_cmd_mine_negatives)
 
     p = mine.add_parser("split")
@@ -601,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-train", required=True, dest="out_train")
     p.add_argument("--out-test", required=True, dest="out_test")
     p.add_argument("--manifest")
-    _add_threads(p)
     p.set_defaults(func=_cmd_mine_split)
 
     # eval
@@ -620,7 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edits", type=int, default=1, dest="max_edits")
     p.add_argument("--prefix-lock", type=int, default=0, dest="prefix_lock")
     p.add_argument("--out")
-    _add_threads(p)
     p.set_defaults(func=_cmd_eval_run)
 
     # gen
@@ -639,7 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--days", type=int, default=7)
     p.add_argument("--out-dir", required=True, dest="out_dir")
     p.add_argument("--out")
-    _add_threads(p)
     p.set_defaults(func=_cmd_gen_synth)
 
     # sim
@@ -670,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-edits", type=int, default=1, dest="max_edits")
     p.add_argument("--prefix-lock", type=int, default=0, dest="prefix_lock")
     p.add_argument("--out")
-    _add_threads(p)
     p.set_defaults(func=_cmd_sim_replay)
 
     return parser

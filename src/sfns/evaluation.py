@@ -16,7 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from datetime import date, timedelta
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .mining import BehaviorLog, LogRecord
 from .sparse import ValidationError, normalize_text
@@ -190,18 +190,6 @@ class SynthCorpus:
     qrels: dict[str, set[str]]
     log: BehaviorLog
     seed: int
-
-    def to_json(self) -> str:
-        payload = {
-            "seed": self.seed,
-            "docs": self.docs,
-            "queries": [[q.text, q.entity_id, q.category] for q in self.queries],
-            "qrels": {q: sorted(ids) for q, ids in sorted(self.qrels.items())},
-            "log": [
-                [r.query, r.entity, r.engagements, r.day.isoformat()] for r in self.log
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _weighted_choice(rng: random.Random, weights: Mapping, keys=None):

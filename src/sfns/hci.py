@@ -53,8 +53,6 @@ class EpochState:
     epoch: int
     hci_entries: frozenset[HciEntry]
     recall_so_far: float = 0.0
-    # Per-epoch channel snapshot; rebuilt at the start of the next epoch.
-    fuzzy_index: object = field(default=None, compare=False, repr=False)
 
 
 def entry_table(entries: Iterable[HciEntry]) -> dict[str, dict[str, float]]:
@@ -290,7 +288,6 @@ def run_replay(
         else:
             table = entry_table(state.hci_entries)
             sims_fn = _channel_sims_factory(channel, sorted(table))
-            state = EpochState(epoch, state.hci_entries, state.recall_so_far, sims_fn)
             ranked = {}
             for q in evaluated:
                 sims = sims_fn(q, fuzzy_top)
@@ -318,7 +315,7 @@ def run_replay(
             1 for en in state.hci_entries if (en.query, en.entity) not in before
         )
         reports.append(EpochReport(epoch, recall, new_entries, len(evaluated)))
-        state = EpochState(epoch, state.hci_entries, recall, state.fuzzy_index)
+        state = EpochState(epoch, state.hci_entries, recall)
         days_covered = min(epoch + 1, len(days)) if days else 0
         all_days_seen = replay_all_each_epoch or days_covered >= len(days)
         if epoch >= 1 and new_entries == 0 and all_days_seen:

@@ -9,7 +9,7 @@ to the document-at-a-time brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -19,12 +19,12 @@ from .sparse import (
     ValidationError,
     VocabStats,
     dequantize_weights,
-    dot_score,
     quantize_weights,
 )
 
 _MAGIC = b"SFNS"
 _VERSION = 1
+_F16_INF = 0x7C00  # binary16 +inf; every larger pattern is a NaN or negative
 
 
 class BuildError(ValueError):
@@ -63,7 +63,6 @@ class InvertedIndex:
         self.postings = postings
         self.doc_table = doc_table
         self.stats = stats
-        self._ext_to_internal = {e.ext_id: i for i, e in enumerate(doc_table)}
 
     # -- introspection -----------------------------------------------------
 
@@ -84,27 +83,6 @@ class InvertedIndex:
         if not self.doc_table:
             return 0.0
         return self.posting_count / self.doc_count
-
-    def external_id(self, doc_id: int) -> str:
-        return self.doc_table[doc_id].ext_id
-
-    def internal_id(self, ext_id: str) -> int | None:
-        return self._ext_to_internal.get(ext_id)
-
-    def iter_doc_vectors(self) -> list[SparseVector]:
-        """Reconstruct every document's dequantized vector from the postings."""
-        per_doc_ids: list[list[int]] = [[] for _ in self.doc_table]
-        per_doc_w: list[list[float]] = [[] for _ in self.doc_table]
-        for token in sorted(self.postings):
-            ids, bits = self.postings[token]
-            weights = dequantize_weights(bits)
-            for d, w in zip(ids.tolist(), weights.tolist()):
-                per_doc_ids[d].append(token)
-                per_doc_w[d].append(w)
-        return [
-            SparseVector._raw(np.array(i, dtype=np.int64), np.array(w, dtype=np.float64))
-            for i, w in zip(per_doc_ids, per_doc_w)
-        ]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InvertedIndex):
@@ -189,6 +167,13 @@ class InvertedIndex:
 
     @classmethod
     def load(cls, path: str) -> "InvertedIndex":
+        """Read an index file, rejecting one whose structure is invalid.
+
+        Beyond the checksum, every posting must list in-range doc ids in
+        strictly increasing order with finite, positive binary16 weights,
+        each token's df must equal its posting length, and the stats must
+        count the doc table.
+        """
         reader = _binio.read_checksummed(path, _MAGIC)
         version = reader.u16()
         if version != _VERSION:
@@ -210,6 +195,7 @@ class InvertedIndex:
             payload = None if plen == 0xFFFFFFFF else doc_r.take(plen).decode("utf-8")
             doc_table.append(DocEntry(ext_id, text, payload))
 
+        n_docs = len(doc_table)
         postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for _ in range(post_r.u64()):
             token = post_r.u64()
@@ -217,35 +203,62 @@ class InvertedIndex:
             ids = np.frombuffer(post_r.take(8 * n), dtype="<u8").astype(np.int64)
             bits = np.frombuffer(post_r.take(2 * n), dtype="<u2").astype(np.uint16)
             postings[token] = (ids, bits)
+        _check_postings(path, postings, n_docs)
 
         doc_count = stats_r.u64()
         df = {}
         for _ in range(stats_r.u64()):
             token = stats_r.u64()
             df[token] = stats_r.u64()
-        stats = VocabStats(doc_count, df)
-        return cls(postings, doc_table, stats)
+        if doc_count != n_docs:
+            raise _binio.StorageError(f"{path}: stats count {doc_count} docs, the table {n_docs}")
+        if df != {token: int(ids.shape[0]) for token, (ids, _) in postings.items()}:
+            raise _binio.StorageError(f"{path}: document frequencies disagree with the postings")
+        return cls(postings, doc_table, VocabStats(doc_count, df))
+
+
+def _check_postings(path: str, postings: dict, n_docs: int) -> None:
+    """Raise StorageError unless every posting lists in-range doc ids in
+    strictly increasing order with positive, finite binary16 weights.
+
+    All postings are checked at once: a few numpy calls per token would
+    cost more than the rest of loading a small index.
+    """
+    lengths = [ids.shape[0] for ids, _ in postings.values()]
+    if not any(lengths):
+        return
+    bits = np.concatenate([bits for _, bits in postings.values()])
+    # Positive finite binary16 patterns are exactly 0x0001..0x7BFF.
+    if bits.min() == 0 or bits.max() >= _F16_INF:
+        raise _binio.StorageError(f"{path}: a posting has a zero, negative or non-finite weight")
+    keys = np.concatenate([ids for ids, _ in postings.values()])
+    # ids past 2**63 wrap negative as int64.
+    if keys.min() < 0 or keys.max() >= n_docs:
+        raise _binio.StorageError(f"{path}: a posting lists a doc id out of range")
+    # With every id below n_docs, adding p * n_docs to the ids of the p-th
+    # posting makes the whole array strictly increasing exactly when each
+    # posting is.
+    keys += np.repeat(np.arange(len(lengths), dtype=np.int64) * n_docs, lengths)
+    if (keys[1:] <= keys[:-1]).any():
+        raise _binio.StorageError(f"{path}: a posting lists doc ids out of order")
 
 
 def build(docs: Iterable[tuple]) -> InvertedIndex:
-    """Build an index from (ext_id, text, SparseVector[, payload]) records.
+    """Build an index from (ext_id, text, SparseVector, payload) records.
 
     Weights are quantized to binary16 here; entries whose quantized weight
-    underflows to zero are dropped so scores stay strictly positive. Duplicate
-    external ids are a build error.
+    underflows to zero are dropped so scores stay strictly positive, and a
+    weight too large for binary16 (65520 or more) is a build error, as are
+    duplicate external ids.
     """
     doc_table: list[DocEntry] = []
     token_docs: dict[int, list[int]] = {}
     token_weights: dict[int, list[float]] = {}
     seen: set[str] = set()
     for record in docs:
-        if len(record) == 3:
-            ext_id, text, vec = record
-            payload = None
-        elif len(record) == 4:
-            ext_id, text, vec, payload = record
-        else:
-            raise BuildError(f"expected 3- or 4-field doc records, got {len(record)} fields")
+        if len(record) != 4:
+            raise BuildError(f"expected 4-field doc records, got {len(record)} fields")
+        ext_id, text, vec, payload = record
         ext_id = str(ext_id)
         if ext_id in seen:
             raise BuildError(f"duplicate doc_id {ext_id!r}")
@@ -262,6 +275,9 @@ def build(docs: Iterable[tuple]) -> InvertedIndex:
     df: dict[int, int] = {}
     for token, ids in token_docs.items():
         bits = quantize_weights(np.array(token_weights[token], dtype=np.float64))
+        if bits.max() >= _F16_INF:
+            doc = doc_table[ids[int(np.argmax(bits >= _F16_INF))]].ext_id
+            raise BuildError(f"doc {doc!r}: weight for token {token} is too large for binary16")
         keep = bits != 0  # quantization underflow to zero would score nothing
         ids_arr = np.array(ids, dtype=np.int64)[keep]
         bits_arr = bits[keep]
@@ -272,23 +288,3 @@ def build(docs: Iterable[tuple]) -> InvertedIndex:
     stats = VocabStats(len(doc_table), df)
     return InvertedIndex(postings, doc_table, stats)
 
-
-def brute_force_search(index: InvertedIndex, query: SparseVector, k: int) -> list[SearchHit]:
-    """Document-at-a-time reference scorer, independent of posting traversal."""
-    if k < 1:
-        raise ValidationError(f"k must be >= 1, got {k}")
-    scored = [
-        (dot_score(query, vec), doc_id)
-        for doc_id, vec in enumerate(index.iter_doc_vectors())
-    ]
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    hits = []
-    for score, doc_id in scored:
-        if len(hits) >= k or score <= 0.0:
-            break
-        hits.append(
-            SearchHit(
-                doc_id=index.doc_table[doc_id].ext_id, score=score, rank=len(hits) + 1
-            )
-        )
-    return hits

@@ -9,7 +9,7 @@ tokenizer pass.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -44,20 +44,11 @@ def doc_vector(
 
 def build_sparse_index(
     model: TokenizerModel,
-    docs: Iterable[tuple],
+    docs: Iterable[tuple[str, str]],
     params: EncoderParams | None = None,
 ) -> InvertedIndex:
-    """Encode (ext_id, text[, payload]) rows and build the inverted index."""
-    rows = []
-    for doc in docs:
-        if len(doc) == 2:
-            ext_id, text = doc
-            payload = None
-        elif len(doc) == 3:
-            ext_id, text, payload = doc
-        else:
-            raise ValidationError("docs must be (id, text) or (id, text, payload)")
-        rows.append((ext_id, text, doc_vector(model, text, params), payload))
+    """Encode (ext_id, text) pairs and build the inverted index."""
+    rows = [(ext_id, text, doc_vector(model, text, params), None) for ext_id, text in docs]
     return index_mod.build(rows)
 
 
@@ -71,9 +62,7 @@ def sparse_query_vector(
         return encode_query(model, index.stats, text)
     if weighting != "none":
         raise ValidationError(f"weighting must be 'idf' or 'none', got {weighting!r}")
-    toks = sorted(set(retrieval_tokens(model, text)))
-    ids = np.asarray(toks, dtype=np.int64)
-    return SparseVector._raw(ids, np.ones(len(toks), dtype=np.float64))
+    return plain_doc_vector(model, text)
 
 
 def sparse_retrieve(

@@ -77,10 +77,6 @@ class SparseVector:
         object.__setattr__(vec, "weights", weights)
         return vec
 
-    @classmethod
-    def from_dict(cls, mapping: Mapping[int, float]) -> "SparseVector":
-        return cls(mapping.items())
-
     @property
     def nnz(self) -> int:
         return int(self.ids.shape[0])
@@ -186,32 +182,6 @@ class VocabStats:
                 df[t] = df.get(t, 0) + 1
         return cls(n, df)
 
-    def to_text(self) -> str:
-        lines = [f"N={self.doc_count}"]
-        lines.extend(f"{t}\t{self.doc_freq[t]}" for t in sorted(self.doc_freq))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "VocabStats":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("N="):
-            raise ValidationError("stats text must start with an N=<doc_count> header")
-        n = int(lines[0][2:])
-        df = {}
-        for ln in lines[1:]:
-            tid, _, count = ln.partition("\t")
-            df[int(tid)] = int(count)
-        return cls(n, df)
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path: str) -> "VocabStats":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
-
 
 def idf(stats: VocabStats, token: int) -> float:
     """ln((N+1)/(df+1)) + 1; unknown tokens take df=0, the maximal value."""
@@ -223,8 +193,7 @@ def encode_query(tokenizer, stats: VocabStats, text: str) -> SparseVector:
     """Tokenize-and-IDF query encoding: indicator of token presence times IDF.
 
     Duplicate tokens contribute once (presence, not frequency). Unknown
-    characters are dropped per the tokenizer's policy. Empty text gives an
-    empty vector.
+    characters are dropped. Empty text gives an empty vector.
     """
     tokens = tokenizer.segment(normalize_text(text))
     distinct = sorted({t for t in tokens if t >= 0})
@@ -234,34 +203,12 @@ def encode_query(tokenizer, stats: VocabStats, text: str) -> SparseVector:
     return SparseVector._raw(np.array(distinct, dtype=np.int64), weights)
 
 
-@dataclass(frozen=True)
-class QuantizedWeight:
-    """A binary16 bit pattern held as an unsigned 16-bit integer."""
-
-    bits: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits <= 0xFFFF:
-            raise ValidationError(f"bits must fit in 16 bits, got {self.bits}")
-
-
-def quantize(w: float) -> QuantizedWeight:
-    """Round-to-nearest-even conversion to binary16. Input must be finite, >= 0."""
-    w = float(w)
-    if not math.isfinite(w) or w < 0:
-        raise ValidationError(f"quantize requires a finite non-negative weight, got {w}")
-    if w == 0.0:
-        w = 0.0  # canonicalize -0.0
-    with np.errstate(over="ignore"):  # values past 65504 round to +inf bits
-        return QuantizedWeight(int(np.float64(w).astype(np.float16).view(np.uint16)))
-
-
-def dequantize(q: QuantizedWeight) -> float:
-    return float(np.uint16(q.bits).view(np.float16))
-
-
 def quantize_weights(weights: np.ndarray) -> np.ndarray:
-    """Array form of quantize: float array -> uint16 bit patterns."""
+    """Round-to-nearest-even conversion to binary16 bit patterns (uint16).
+
+    Weights must be finite and >= 0; -0.0 becomes +0.0 and values of 65520
+    or more saturate to the +inf pattern 0x7C00.
+    """
     arr = np.asarray(weights, dtype=np.float64)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
         raise ValidationError("weights must be finite and >= 0")

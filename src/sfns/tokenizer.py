@@ -39,9 +39,7 @@ class TokenizerModel:
     space is reproducible from its piece set alone.
     """
 
-    def __init__(self, pieces: dict[str, float], max_piece_len: int, unk_policy: str = "emit"):
-        if unk_policy not in ("emit", "drop"):
-            raise ValidationError(f"unk_policy must be 'emit' or 'drop', got {unk_policy!r}")
+    def __init__(self, pieces: dict[str, float], max_piece_len: int):
         if max_piece_len < 1:
             raise ValidationError("max_piece_len must be >= 1")
         if not pieces:
@@ -58,7 +56,6 @@ class TokenizerModel:
         self._piece_to_id = {p: i for i, p in enumerate(ordered)}
         self._id_to_piece = ordered
         self.max_piece_len = max_piece_len
-        self.unk_policy = unk_policy
 
     @property
     def vocab_size(self) -> int:
@@ -91,18 +88,9 @@ class TokenizerModel:
     def segment(self, text: str) -> list[int]:
         """Token ids for a normalized text, one word at a time.
 
-        Unknown characters emit UNK_ID (policy "emit") or vanish ("drop").
+        Unknown characters emit UNK_ID; retrieval_tokens filters them out.
         """
-        out: list[int] = []
-        for word in normalize_text(text).split(" "):
-            if not word:
-                continue
-            for piece in self.segment_word(word):
-                tid = self._piece_to_id.get(piece, UNK_ID)
-                if tid == UNK_ID and self.unk_policy == "drop":
-                    continue
-                out.append(tid)
-        return out
+        return [self._piece_to_id.get(p, UNK_ID) for p in self.segment_pieces(text)]
 
     def segment_pieces(self, text: str) -> list[str]:
         """Piece strings for a text; unknown characters appear verbatim."""
@@ -249,14 +237,12 @@ def train_unigram(
     *,
     shrink_factor: float = 0.75,
     em_iters: int = 2,
-    seed_cap: int | None = None,
-    unk_policy: str = "emit",
 ) -> TokenizerModel:
     """Train a unigram model whose pieces never exceed max_piece_len chars.
 
     The seed vocabulary is every substring of corpus words up to the ceiling,
-    ranked by frequency times length and capped at seed_cap (default
-    100 * vocab_size). Each round runs em_iters EM iterations, then prunes to
+    ranked by frequency times length and capped at 100 * vocab_size. Each
+    round runs em_iters EM iterations, then prunes to
     max(vocab_size, shrink_factor * current) by estimated loss increase;
     single characters are never pruned. Deterministic: no randomness anywhere.
     """
@@ -290,10 +276,9 @@ def train_unigram(
         for i in range(n):
             for j in range(i + 1, min(i + max_piece_len, n) + 1):
                 sub_freq[word[i:j]] += freq
-    cap = seed_cap if seed_cap is not None else 100 * vocab_size
     multi = [s for s in sub_freq if len(s) > 1]
     multi.sort(key=lambda s: (-sub_freq[s] * len(s), s))
-    seed = list(alphabet) + multi[: max(0, cap - len(alphabet))]
+    seed = list(alphabet) + multi[: max(0, 100 * vocab_size - len(alphabet))]
 
     # Initial probabilities proportional to frequency * length.
     raw = {p: float(sub_freq[p] * len(p)) for p in seed}
@@ -326,7 +311,7 @@ def train_unigram(
         log_prob = _prune(log_prob, counts, single_chars, shrink_factor, vocab_size, max_piece_len)
         logger.info("round %d: pruned to %d pieces", rounds, len(log_prob))
 
-    return TokenizerModel(log_prob, max_piece_len, unk_policy)
+    return TokenizerModel(log_prob, max_piece_len)
 
 
 def _prune(

@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from sfns.index import InvertedIndex, SearchHit
+from sfns.sparse import SparseVector, ValidationError, dequantize_weights, dot_score
+
 UNK_SCORE = -1.0e4
 
 
@@ -84,8 +89,6 @@ def dcg(ranked, relevant, k: int) -> float:
 
 def central_fd(f, arr, step: float = 1e-4):
     """Central finite-difference gradient of scalar f() wrt arr, in place."""
-    import numpy as np
-
     g = np.zeros_like(arr)
     it = np.nditer(arr, flags=["multi_index"])
     while not it.finished:
@@ -108,8 +111,6 @@ def kink_margin(embed, proj, bias, token_lists) -> float:
     more than one token, the top-two logit gap. Small margins mean a finite
     difference step could cross a non-smooth point.
     """
-    import numpy as np
-
     margin = float("inf")
     for tokens in token_lists:
         logits = embed[list(tokens)] @ proj.T + bias  # (T, V)
@@ -120,3 +121,40 @@ def kink_margin(embed, proj, bias, token_lists) -> float:
             gaps = part[-1] - part[-2]
             margin = min(margin, float(gaps.min()))
     return margin
+
+
+def iter_doc_vectors(index: InvertedIndex) -> list[SparseVector]:
+    """Reconstruct every document's dequantized vector from the postings."""
+    per_doc_ids: list[list[int]] = [[] for _ in index.doc_table]
+    per_doc_w: list[list[float]] = [[] for _ in index.doc_table]
+    for token in sorted(index.postings):
+        ids, bits = index.postings[token]
+        weights = dequantize_weights(bits)
+        for d, w in zip(ids.tolist(), weights.tolist()):
+            per_doc_ids[d].append(token)
+            per_doc_w[d].append(w)
+    return [
+        SparseVector._raw(np.array(i, dtype=np.int64), np.array(w, dtype=np.float64))
+        for i, w in zip(per_doc_ids, per_doc_w)
+    ]
+
+
+def brute_force_search(index: InvertedIndex, query: SparseVector, k: int) -> list[SearchHit]:
+    """Document-at-a-time reference scorer, independent of posting traversal."""
+    if k < 1:
+        raise ValidationError(f"k must be >= 1, got {k}")
+    scored = [
+        (dot_score(query, vec), doc_id)
+        for doc_id, vec in enumerate(iter_doc_vectors(index))
+    ]
+    scored.sort(key=lambda pair: (-pair[0], pair[1]))
+    hits = []
+    for score, doc_id in scored:
+        if len(hits) >= k or score <= 0.0:
+            break
+        hits.append(
+            SearchHit(
+                doc_id=index.doc_table[doc_id].ext_id, score=score, rank=len(hits) + 1
+            )
+        )
+    return hits

@@ -33,7 +33,7 @@ from sfns.encoder import (
 )
 from sfns.evaluation import hit_ids, recall_at_k, synth_corpus
 from sfns.hci import ChannelConfig, run_replay
-from sfns.index import InvertedIndex, build, brute_force_search
+from sfns.index import InvertedIndex, build
 from sfns.mining import (
     BehaviorLog,
     LogRecord,
@@ -45,7 +45,13 @@ from sfns.retrieval import build_sparse_index, make_sparse_retriever
 from sfns.sparse import SparseVector, VocabStats
 from sfns.tokenizer import TokenizerModel, train_unigram
 
-from _oracles import UNK_SCORE, best_segmentation, central_fd, kink_margin
+from _oracles import (
+    UNK_SCORE,
+    best_segmentation,
+    brute_force_search,
+    central_fd,
+    kink_margin,
+)
 
 
 def _line(n: int, ok: bool, detail: str) -> str:
@@ -75,7 +81,7 @@ def test_acceptance_1_search_matches_brute_force():
         else:
             n_docs, vocab = rng.randint(1, 200), rng.randint(1, 500)
         docs = [
-            (f"doc{d:04d}", f"doc {d}", _random_vector(rng, vocab, 8))
+            (f"doc{d:04d}", f"doc {d}", _random_vector(rng, vocab, 8), None)
             for d in range(n_docs)
         ]
         idx = build(docs)
@@ -405,8 +411,8 @@ def test_acceptance_7_replay_is_monotone_and_converges():
 
 def test_acceptance_8_artifacts_round_trip_bit_exact(tmp_path):
     rng = random.Random(5)
-    docs = [(f"e{d:03d}", f"name {d}", _random_vector(rng, 60, 7)) for d in range(40)]
-    docs[3] = (*docs[3], "payload survives too")
+    docs = [(f"e{d:03d}", f"name {d}", _random_vector(rng, 60, 7), None) for d in range(40)]
+    docs[3] = (*docs[3][:3], "payload survives too")
     idx = build(docs)
     p1, p2 = tmp_path / "a.idx", tmp_path / "b.idx"
     idx.save(str(p1))

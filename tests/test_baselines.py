@@ -9,13 +9,12 @@ from sfns.baselines import (
     FuzzyRetriever,
     banded_levenshtein,
     build_trigram_index,
-    fuzzy_retrieve,
     trigram_query_vector,
     trigram_retrieve,
 )
 from sfns.sparse import ValidationError
 
-from _oracles import levenshtein_matrix
+from _oracles import iter_doc_vectors, levenshtein_matrix
 
 
 def _catalog():
@@ -35,8 +34,8 @@ def test_trigram_index_vocabulary_and_weights():
     t = build_trigram_index(_catalog())
     assert "tay" in t.vocab and "ink" in t.vocab
     # "me" contributes nothing: no 3-char window exists.
-    assert t.index.internal_id("c3") is not None
-    vecs = t.index.iter_doc_vectors()
+    assert t.index.doc_table[3].ext_id == "c3"
+    vecs = iter_doc_vectors(t.index)
     assert vecs[3].nnz == 0
     # Indexed weights are uniform 1.0 per distinct trigram.
     assert set(dict(vecs[4].items()).values()) == {1.0}
@@ -162,14 +161,6 @@ def test_fuzzy_search_ranks_ties_and_validates_k():
     with pytest.raises(ValidationError):
         r.search("pink", k=0)
     assert r.search("zzzzzz", k=3) == []
-
-
-def test_fuzzy_retrieve_wrapper_matches_class():
-    texts = ["taylor swift", "tay dizm", "pink"]
-    cfg = FuzzyConfig(max_edits=2)
-    assert fuzzy_retrieve(texts, "tayler", cfg, 3) == FuzzyRetriever(texts, cfg).search(
-        "tayler", 3
-    )
 
 
 def test_fuzzy_rare_words_outweigh_common_words():

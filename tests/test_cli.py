@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from sfns.cli import main
 from sfns.evaluation import synth_corpus, write_corpus_dir
+from sfns.index import InvertedIndex
+from sfns.sparse import VocabStats
 
 
 def _run(capsys, argv):
@@ -261,10 +264,35 @@ def test_exit_two_on_missing_and_corrupt_files(artifacts, tmp_path, capsys):
     assert "error:" in err
 
 
-def test_threads_flag_is_accepted_everywhere(artifacts, capsys):
-    code, out, _ = _run(
-        capsys,
-        ["index", "stats", "--index", str(artifacts / "plain.idx"), "--threads", "4"],
+def test_exit_two_on_structurally_invalid_index(artifacts, tmp_path, capsys):
+    # A posting that names a doc past the doc table, under a valid checksum.
+    index = InvertedIndex.load(str(artifacts / "plain.idx"))
+    token = min(index.postings)
+    ids, bits = index.postings[token]
+    index.postings[token] = (np.append(ids, index.doc_count + 5), np.append(bits, bits[:1]))
+    index.stats = VocabStats(
+        index.stats.doc_count, {**index.stats.doc_freq, token: len(ids) + 1}
     )
+    bad = tmp_path / "bad.idx"
+    index.save(str(bad))
+    code, out, err = _run(
+        capsys,
+        ["index", "search", "--index", str(bad),
+         "--tokenizer", str(artifacts / "tok.tsv"), "--query", "pink"],
+    )
+    assert code == 2
+    assert out == "" and "error:" in err
+
+
+def test_index_build_takes_params_or_vectors(artifacts, corpus_dir, tmp_path, capsys):
+    base = ["index", "build", "--tokenizer", str(artifacts / "tok.tsv"),
+            "--docs", str(corpus_dir / "docs.jsonl")]
+    params = ["--params", str(artifacts / "enc.sfne")]
+    vectors = ["--vectors", str(artifacts / "vectors.jsonl")]
+    code, _, _ = _run(capsys, base + params + vectors + ["--out", str(tmp_path / "both.idx")])
+    assert code == 1
+    assert not (tmp_path / "both.idx").exists()
+    # The encoded vectors file and the params it came from build the same index.
+    code, _, _ = _run(capsys, base + params + ["--out", str(tmp_path / "params.idx")])
     assert code == 0
-    assert _envelope(out)["config"]["threads"] == 4
+    assert (tmp_path / "params.idx").read_bytes() == (artifacts / "enc.idx").read_bytes()

@@ -245,7 +245,7 @@ def test_train_config_validation():
 
 
 def test_prepare_dataset_tokenizes_and_skips_empty(caplog):
-    model = TokenizerModel({"a": -1.0, "b": -1.0}, max_piece_len=3, unk_policy="drop")
+    model = TokenizerModel({"a": -1.0, "b": -1.0}, max_piece_len=3)
     triples = [
         TrainTriple(q="ab", q_pos="ba", negatives=("aa", "zz")),
         TrainTriple(q="zz", q_pos="ab", negatives=()),  # query tokenizes to nothing

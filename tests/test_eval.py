@@ -148,12 +148,16 @@ def test_typo_spec_validation():
 # -- synthetic corpus ---------------------------------------------------------
 
 
-def test_synth_corpus_is_byte_deterministic():
-    a = synth_corpus(seed=42, n_entities=40, queries_per_entity=4)
-    b = synth_corpus(seed=42, n_entities=40, queries_per_entity=4)
-    assert a.to_json() == b.to_json()
-    c = synth_corpus(seed=43, n_entities=40, queries_per_entity=4)
-    assert a.to_json() != c.to_json()
+def test_synth_corpus_is_byte_deterministic(tmp_path):
+    def written(seed: int, name: str) -> dict[str, bytes]:
+        out = tmp_path / name
+        write_corpus_dir(synth_corpus(seed=seed, n_entities=40, queries_per_entity=4), str(out))
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    a = written(42, "a")
+    assert set(a) == {"docs.jsonl", "queries.jsonl", "qrels.jsonl", "log.jsonl"}
+    assert written(42, "b") == a
+    assert written(43, "c") != a
 
 
 def test_synth_corpus_covers_all_categories():

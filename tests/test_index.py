@@ -11,8 +11,10 @@ from sfns._binio import (
     VersionError,
     crc32c,
 )
-from sfns.index import BuildError, InvertedIndex, brute_force_search, build
-from sfns.sparse import SparseVector, ValidationError, dequantize, quantize
+from sfns.index import BuildError, InvertedIndex, build
+from sfns.sparse import SparseVector, ValidationError, VocabStats, quantize_weights
+
+from _oracles import brute_force_search, iter_doc_vectors
 
 
 def _random_vector(rng: random.Random, vocab: int, max_dims: int = 8) -> SparseVector:
@@ -23,9 +25,9 @@ def _random_vector(rng: random.Random, vocab: int, max_dims: int = 8) -> SparseV
 
 def _small_index():
     docs = [
-        ("d0", "alpha", SparseVector([(0, 1.0), (2, 2.0)])),
+        ("d0", "alpha", SparseVector([(0, 1.0), (2, 2.0)]), None),
         ("d1", "beta", SparseVector([(1, 3.0)]), "extra"),
-        ("d2", "gamma", SparseVector([(0, 0.5), (1, 0.5), (2, 0.5)])),
+        ("d2", "gamma", SparseVector([(0, 0.5), (1, 0.5), (2, 0.5)]), None),
     ]
     return build(docs)
 
@@ -43,29 +45,49 @@ def test_build_counts_and_stats_recount():
     assert idx.stats.doc_count == 3
     for token, (ids, _) in idx.postings.items():
         assert idx.stats.doc_freq[token] == ids.shape[0]
-    assert idx.external_id(1) == "d1"
-    assert idx.internal_id("d2") == 2
-    assert idx.internal_id("nope") is None
 
 
 def test_build_rejects_duplicate_external_id():
     with pytest.raises(BuildError, match="dup"):
-        build([("dup", "a", SparseVector([(0, 1.0)])), ("dup", "b", SparseVector([(1, 1.0)]))])
+        build(
+            [
+                ("dup", "a", SparseVector([(0, 1.0)]), None),
+                ("dup", "b", SparseVector([(1, 1.0)]), None),
+            ]
+        )
 
 
 def test_build_rejects_malformed_records():
     with pytest.raises(BuildError):
         build([("d0",)])
+    # One record shape: the payload field is required, even when None.
     with pytest.raises(BuildError):
-        build([("d0", "text", {0: 1.0})])
+        build([("d0", "text", SparseVector([(0, 1.0)]))])
+    with pytest.raises(BuildError):
+        build([("d0", "text", {0: 1.0}, None)])
+
+
+def test_build_rejects_weights_that_overflow_binary16():
+    # 65504 is the largest finite binary16; 65520 and up round to +inf,
+    # where 1e6 and 1e7 would tie.
+    idx = build([("ok", "", SparseVector([(0, 65504.0)]), None)])
+    assert idx.search(SparseVector([(0, 1.0)]), k=1)[0].score == 65504.0
+    for big in (65520.0, 1e6, 1e7):
+        with pytest.raises(BuildError, match="big"):
+            build(
+                [
+                    ("ok", "", SparseVector([(0, 1.0)]), None),
+                    ("big", "", SparseVector([(0, big)]), None),
+                ]
+            )
 
 
 def test_build_drops_postings_that_quantize_to_zero():
     tiny = 1e-9  # underflows binary16 to zero
     idx = build(
         [
-            ("d0", "", SparseVector([(0, tiny), (1, 1.0)])),
-            ("d1", "", SparseVector([(0, 1.0)])),
+            ("d0", "", SparseVector([(0, tiny), (1, 1.0)]), None),
+            ("d1", "", SparseVector([(0, 1.0)]), None),
         ]
     )
     ids, bits = idx.postings[0]
@@ -78,11 +100,11 @@ def test_build_drops_postings_that_quantize_to_zero():
 
 
 def test_doc_weights_are_quantized_on_ingest():
-    idx = build([("d0", "", SparseVector([(7, 0.1)]))])
+    idx = build([("d0", "", SparseVector([(7, 0.1)]), None)])
     _, bits = idx.postings[7]
-    assert bits.tolist() == [quantize(0.1).bits]
-    vec = idx.iter_doc_vectors()[0]
-    assert dict(vec.items()) == {7: dequantize(quantize(0.1))}
+    assert bits.tolist() == quantize_weights([0.1]).tolist() == [0x2E66]
+    vec = iter_doc_vectors(idx)[0]
+    assert dict(vec.items()) == {7: 0.0999755859375}
 
 
 # -- searching ----------------------------------------------------------------
@@ -101,8 +123,8 @@ def test_search_scores_and_ranks():
 def test_search_ties_break_by_ingestion_order():
     idx = build(
         [
-            ("zz", "", SparseVector([(0, 1.0)])),
-            ("aa", "", SparseVector([(0, 1.0)])),
+            ("zz", "", SparseVector([(0, 1.0)]), None),
+            ("aa", "", SparseVector([(0, 1.0)]), None),
         ]
     )
     hits = idx.search(SparseVector([(0, 1.0)]), k=2)
@@ -125,7 +147,7 @@ def test_search_matches_brute_force_bitwise_on_random_corpora():
     for trial in range(30):
         vocab = rng.randint(3, 40)
         docs = [
-            (f"doc{i}", f"t{i}", _random_vector(rng, vocab))
+            (f"doc{i}", f"t{i}", _random_vector(rng, vocab), None)
             for i in range(rng.randint(1, 60))
         ]
         idx = build(docs)
@@ -157,7 +179,7 @@ def test_payload_round_trip(tmp_path):
     idx = build(
         [
             ("a", "x", SparseVector([(0, 1.0)]), '{"kind":"artist"}'),
-            ("b", "y", SparseVector([(1, 1.0)])),
+            ("b", "y", SparseVector([(1, 1.0)]), None),
         ]
     )
     p = tmp_path / "pl.idx"
@@ -242,3 +264,52 @@ def test_empty_index_round_trip(tmp_path):
     p = tmp_path / "e.idx"
     idx.save(str(p))
     assert InvertedIndex.load(str(p)) == idx
+
+
+def _corrupt_and_reload(tmp_path, mutate):
+    """Save _small_index() after mutate(idx); the checksum stays valid."""
+    idx = _small_index()
+    mutate(idx)
+    p = tmp_path / "s.idx"
+    idx.save(str(p))
+    return InvertedIndex.load(str(p))
+
+
+@pytest.mark.parametrize(
+    "token, ids, bits",
+    [
+        (1, [1, 5], [0x3C00, 0x3C00]),  # doc 5 in a 3-doc index
+        (1, [2, 1], [0x3C00, 0x3C00]),  # out of order
+        (1, [1, 1], [0x3C00, 0x3C00]),  # repeated doc
+        (0, [2**64 - 1, 2], [0x3C00, 0x3C00]),  # wraps to -1 as int64
+        (0, [0, 2], [0x3C00, 0x0000]),  # zero weight
+        (0, [0, 2], [0x3C00, 0x7C00]),  # +inf
+        (0, [0, 2], [0x3C00, 0x7E00]),  # NaN
+        (0, [0, 2], [0xBC00, 0x3C00]),  # negative
+    ],
+)
+def test_load_rejects_invalid_postings(tmp_path, token, ids, bits):
+    def mutate(idx):
+        idx.postings[token] = (
+            np.array(ids, dtype=np.uint64).astype(np.int64),
+            np.array(bits, dtype=np.uint16),
+        )
+
+    with pytest.raises(StorageError):
+        _corrupt_and_reload(tmp_path, mutate)
+
+
+def test_load_rejects_stats_that_disagree_with_postings(tmp_path):
+    def wrong_df(idx):
+        idx.stats = VocabStats(3, {**idx.stats.doc_freq, 0: 1})
+
+    def extra_df(idx):
+        idx.stats = VocabStats(3, {**idx.stats.doc_freq, 9: 1})
+
+    def wrong_doc_count(idx):
+        idx.stats = VocabStats(4, dict(idx.stats.doc_freq))
+
+    for mutate in (wrong_df, extra_df, wrong_doc_count):
+        with pytest.raises(StorageError):
+            _corrupt_and_reload(tmp_path, mutate)
+    assert _corrupt_and_reload(tmp_path, lambda idx: None) == _small_index()

@@ -16,6 +16,8 @@ from sfns.retrieval import (
 from sfns.sparse import ValidationError, dot_score, idf
 from sfns.tokenizer import TokenizerModel
 
+from _oracles import iter_doc_vectors
+
 
 def _model():
     return TokenizerModel(
@@ -26,7 +28,7 @@ def _model():
 
 def _catalog_index(model=None):
     model = model or _model()
-    docs = [("d0", "pink"), ("d1", "pi nk"), ("d2", "me"), ("d3", "kip", "payload")]
+    docs = [("d0", "pink"), ("d1", "pi nk"), ("d2", "me"), ("d3", "kip")]
     return build_sparse_index(model, docs), model
 
 
@@ -124,13 +126,16 @@ def test_self_match_score_is_the_top_score_for_its_own_doc():
         assert hits[0].score <= ceiling + 1e-6
 
 
-def test_build_sparse_index_payload_and_arity_validation():
+def test_build_sparse_index_takes_id_text_pairs():
     model = _model()
-    index = build_sparse_index(model, [("d0", "pink", '{"x":1}'), ("d1", "me")])
-    assert index.doc_table[0].payload == '{"x":1}'
-    assert index.doc_table[1].payload is None
-    with pytest.raises(ValidationError):
-        build_sparse_index(model, [("d0",)])
+    index = build_sparse_index(model, [("d0", "pink"), ("d1", "me")])
+    assert [(e.ext_id, e.text, e.payload) for e in index.doc_table] == [
+        ("d0", "pink", None),
+        ("d1", "me", None),
+    ]
+    for row in (("d0",), ("d0", "pink", '{"x":1}')):
+        with pytest.raises(ValueError):
+            build_sparse_index(model, [row])
 
 
 def test_make_sparse_retriever_returns_external_ids():
@@ -145,6 +150,6 @@ def test_scores_match_manual_dot_products():
     index, model = _catalog_index()
     q = sparse_query_vector(index, model, "pink")
     hits = index.search(q, k=5)
-    vecs = {index.external_id(i): v for i, v in enumerate(index.iter_doc_vectors())}
+    vecs = {e.ext_id: v for e, v in zip(index.doc_table, iter_doc_vectors(index))}
     for h in hits:
         assert h.score == dot_score(q, vecs[h.doc_id])

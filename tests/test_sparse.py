@@ -9,13 +9,11 @@ from sfns.sparse import (
     SparseVector,
     ValidationError,
     VocabStats,
-    dequantize,
     dequantize_weights,
     dot_score,
     encode_query,
     idf,
     normalize_text,
-    quantize,
     quantize_weights,
 )
 from sfns.tokenizer import TokenizerModel
@@ -132,10 +130,14 @@ def test_dot_commutative(pairs_a, pairs_b):
 # -- binary16 quantization ----------------------------------------------------
 
 
+def _bits(w: float) -> int:
+    return int(quantize_weights([w])[0])
+
+
 def test_quantize_known_value():
-    q = quantize(0.1)
-    assert q.bits == 0x2E66
-    assert dequantize(q) == 0.0999755859375
+    bits = quantize_weights([0.1])
+    assert bits.dtype == np.uint16 and bits.tolist() == [0x2E66]
+    assert dequantize_weights(bits).tolist() == [0.0999755859375]
 
 
 def test_quantize_round_trips_every_finite_nonnegative_pattern():
@@ -156,33 +158,33 @@ def test_dequantize_matches_bit_arithmetic_oracle():
 def test_quantize_rounds_to_nearest_even():
     # Between 2048 and 2050 the tie 2049 goes to the even mantissa (2048);
     # between 2050 and 2052 the tie 2051 goes to 2052.
-    assert quantize(2049.0).bits == quantize(2048.0).bits
-    assert quantize(2051.0).bits == quantize(2052.0).bits
+    assert _bits(2049.0) == _bits(2048.0)
+    assert _bits(2051.0) == _bits(2052.0)
 
 
 def test_quantize_negative_zero_becomes_positive_zero():
-    assert quantize(-0.0).bits == 0x0000
+    assert _bits(-0.0) == 0x0000
 
 
 def test_quantize_rejects_negative_and_nan():
     with pytest.raises(ValidationError):
-        quantize(-1.0)
+        quantize_weights([1.0, -1.0])
     with pytest.raises(ValidationError):
-        quantize(float("nan"))
+        quantize_weights([float("nan")])
 
 
 def test_quantize_overflow_saturates_to_infinity_bits():
     # IEEE round-to-nearest takes values above the binary16 max (65504) to
     # +inf; the index build layer is what keeps weights in range.
-    assert quantize(1.0e6).bits == 0x7C00
-    assert math.isinf(dequantize(quantize(1.0e6)))
+    assert _bits(1.0e6) == 0x7C00
+    assert math.isinf(dequantize_weights(quantize_weights([1.0e6]))[0])
 
 
 @given(st.floats(0.0, 60000.0))
 @settings(max_examples=200, deadline=None)
 def test_quantize_is_idempotent_through_one_round_trip(x):
-    once = quantize(x)
-    assert quantize(dequantize(once)) == once
+    once = quantize_weights([x])
+    assert np.array_equal(quantize_weights(dequantize_weights(once)), once)
 
 
 # -- vocab stats and idf ------------------------------------------------------
@@ -207,13 +209,6 @@ def test_idf_formula():
     assert idf(stats, 8) == pytest.approx(1.0)
     # unknown token: df = 0
     assert idf(stats, 99) == pytest.approx(math.log(4.0) + 1.0)
-
-
-def test_stats_text_round_trip(tmp_path):
-    stats = VocabStats(5, {0: 2, 3: 5})
-    p = tmp_path / "stats.txt"
-    stats.save(str(p))
-    assert VocabStats.load(str(p)) == stats
 
 
 # -- query encoding -----------------------------------------------------------
