@@ -68,15 +68,8 @@ class ByteReader:
     def u16(self) -> int:
         return struct.unpack("<H", self.take(2))[0]
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
-
-    def utf8(self) -> str:
-        n = self.u32()
-        return self.take(n).decode("utf-8")
 
     def remaining(self) -> int:
         return len(self._buf) - self._pos
@@ -92,11 +85,6 @@ def pack_u32(v: int) -> bytes:
 
 def pack_u64(v: int) -> bytes:
     return struct.pack("<Q", v)
-
-
-def pack_utf8(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return pack_u32(len(raw)) + raw
 
 
 def write_checksummed(path: str, body: bytes) -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -118,11 +118,14 @@ class FuzzyRetriever:
     order never matters.
     """
 
-    def __init__(self, texts: Sequence[str], config: FuzzyConfig = FuzzyConfig()):
+    def __init__(self, docs: Iterable[tuple[str, str]], config: FuzzyConfig = FuzzyConfig()):
+        """Index (ext_id, text) docs; ties rank in the order the docs come."""
         self.config = config
-        self.doc_words: list[list[str]] = [
-            sorted(set(normalize_text(t).split(" ")) - {""}) for t in texts
-        ]
+        self.doc_ids: list[str] = []
+        self.doc_words: list[list[str]] = []
+        for ext_id, text in docs:
+            self.doc_ids.append(str(ext_id))
+            self.doc_words.append(sorted(set(normalize_text(text).split(" ")) - {""}))
         self._df: Counter = Counter()
         for words in self.doc_words:
             self._df.update(words)
@@ -164,14 +167,13 @@ class FuzzyRetriever:
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
         scored = [
-            (self.score(query, words), doc_id)
-            for doc_id, words in enumerate(self.doc_words)
+            (self.score(query, words), pos) for pos, words in enumerate(self.doc_words)
         ]
         scored.sort(key=lambda pair: (-pair[0], pair[1]))
         hits = []
-        for score, doc_id in scored:
+        for score, pos in scored:
             if len(hits) >= k or score <= 0.0:
                 break
-            hits.append(SearchHit(doc_id=doc_id, score=score, rank=len(hits) + 1))
+            hits.append(SearchHit(doc_id=self.doc_ids[pos], score=score, rank=len(hits) + 1))
         return hits
 

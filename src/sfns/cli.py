@@ -291,11 +291,8 @@ def _cmd_search(args) -> int:
         hits = baselines.trigram_retrieve(tindex, args.query, args.k)
     else:
         config = baselines.FuzzyConfig(args.max_edits, args.prefix_lock)
-        retr = baselines.FuzzyRetriever([t for _, t, _ in docs], config)
-        hits = [
-            type(h)(doc_id=docs[h.doc_id][0], score=h.score, rank=h.rank)
-            for h in retr.search(args.query, args.k)
-        ]
+        retr = baselines.FuzzyRetriever(((d, t) for d, t, _ in docs), config)
+        hits = retr.search(args.query, args.k)
     _emit(args, {"query": normalize_text(args.query), "hits": _hits_json(hits)}, args.out)
     return 0
 
@@ -373,11 +370,10 @@ def _make_retriever(args, docs):
 
         return trigram_retriever
     config = baselines.FuzzyConfig(args.max_edits, args.prefix_lock)
-    retr = baselines.FuzzyRetriever([t for _, t, _ in docs], config)
-    ids = [d for d, _, _ in docs]
+    retr = baselines.FuzzyRetriever(((d, t) for d, t, _ in docs), config)
 
     def fuzzy_search(query: str, k: int):
-        return [ids[h.doc_id] for h in retr.search(query, k)]
+        return [h.doc_id for h in retr.search(query, k)]
 
     return fuzzy_search
 

@@ -151,16 +151,13 @@ def _channel_sims_factory(
         return lambda q, top: {}
 
     if kind == "fuzzy":
-        retr = FuzzyRetriever(variants, channel.fuzzy)
+        retr = FuzzyRetriever(((t, t) for t in variants), channel.fuzzy)
 
         def fuzzy_sims(q: str, top: int) -> dict[str, float]:
             ceiling = retr.self_score(q)
             if ceiling <= 0.0:
                 return {}
-            return {
-                variants[h.doc_id]: _clamp01(h.score / ceiling)
-                for h in retr.search(q, top)
-            }
+            return {h.doc_id: _clamp01(h.score / ceiling) for h in retr.search(q, top)}
 
         return fuzzy_sims
 

@@ -4,10 +4,20 @@ Document weights are stored as binary16 bit patterns (the only lossy step in
 the engine); query weights stay full precision. Search is term-at-a-time with
 float64 accumulation in ascending token order, which makes scores bit-identical
 to the document-at-a-time brute-force oracle.
+
+Build, save and load share one flat posting layout: ascending token ids, one
+posting length per token, then every posting's doc ids and weight bits back
+to back in token order. The file (format v2, little-endian) is exactly that:
+
+    b"SFNS", u16 version 2
+    u64 byte count, doc table as UTF-8 JSON [[ext_id, text, payload|null], ...]
+    u64 T, u64 P, u32[T] tokens, u32[T] lengths, u32[P] doc ids, u16[P] bits
+    u32 CRC32C of every preceding byte
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -23,8 +33,10 @@ from .sparse import (
 )
 
 _MAGIC = b"SFNS"
-_VERSION = 1
+_VERSION = 2
 _F16_INF = 0x7C00  # binary16 +inf; every larger pattern is a NaN or negative
+_ARRAYS = ("tokens", "lengths", "doc_ids", "bits")
+_ROW_TYPES = ([str, str, str], [str, str, type(None)])
 
 
 class BuildError(ValueError):
@@ -40,9 +52,7 @@ class DocEntry:
 
 @dataclass(frozen=True)
 class SearchHit:
-    # External string id from index searches; integer position from the
-    # linear-scan fuzzy matcher, which has no doc table.
-    doc_id: str | int
+    doc_id: str
     score: float
     rank: int
 
@@ -51,18 +61,29 @@ class InvertedIndex:
     """token_id -> (doc_id array, binary16 weight bits), plus a doc table.
 
     Internal doc ids are assigned by ingestion order (0..N-1); callers'
-    external string ids live in the doc table.
+    external string ids live in the doc table. `postings` holds views into
+    the flat arrays, and `stats` is counted from them.
     """
 
     def __init__(
         self,
-        postings: dict[int, tuple[np.ndarray, np.ndarray]],
         doc_table: list[DocEntry],
-        stats: VocabStats,
+        tokens: np.ndarray,
+        lengths: np.ndarray,
+        doc_ids: np.ndarray,
+        bits: np.ndarray,
     ):
-        self.postings = postings
         self.doc_table = doc_table
-        self.stats = stats
+        self.tokens = tokens
+        self.lengths = lengths
+        self.doc_ids = doc_ids
+        self.bits = bits
+        ends = np.cumsum(lengths).tolist()
+        self.postings: dict[int, tuple[np.ndarray, np.ndarray]] = {
+            token: (doc_ids[start:end], bits[start:end])
+            for token, start, end in zip(tokens.tolist(), [0] + ends[:-1], ends)
+        }
+        self.stats = VocabStats(len(doc_table), dict(zip(tokens.tolist(), lengths.tolist())))
 
     # -- introspection -----------------------------------------------------
 
@@ -72,11 +93,11 @@ class InvertedIndex:
 
     @property
     def token_count(self) -> int:
-        return len(self.postings)
+        return int(self.tokens.shape[0])
 
     @property
     def posting_count(self) -> int:
-        return sum(int(ids.shape[0]) for ids, _ in self.postings.values())
+        return int(self.doc_ids.shape[0])
 
     @property
     def avg_nonzero_dims(self) -> float:
@@ -87,14 +108,8 @@ class InvertedIndex:
     def __eq__(self, other) -> bool:
         if not isinstance(other, InvertedIndex):
             return NotImplemented
-        if self.doc_table != other.doc_table or self.stats != other.stats:
-            return False
-        if set(self.postings) != set(other.postings):
-            return False
-        return all(
-            np.array_equal(self.postings[t][0], other.postings[t][0])
-            and np.array_equal(self.postings[t][1], other.postings[t][1])
-            for t in self.postings
+        return self.doc_table == other.doc_table and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAYS
         )
 
     # -- search ------------------------------------------------------------
@@ -133,113 +148,80 @@ class InvertedIndex:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str) -> None:
-        body = bytearray()
-        body += _MAGIC
-        body += _binio.pack_u16(_VERSION)
-
-        doc_sec = bytearray(_binio.pack_u64(len(self.doc_table)))
-        for entry in self.doc_table:
-            doc_sec += _binio.pack_utf8(entry.ext_id)
-            doc_sec += _binio.pack_utf8(entry.text)
-            if entry.payload is None:
-                doc_sec += _binio.pack_u32(0xFFFFFFFF)
-            else:
-                doc_sec += _binio.pack_utf8(entry.payload)
-
-        post_sec = bytearray(_binio.pack_u64(len(self.postings)))
-        for token in sorted(self.postings):
-            ids, bits = self.postings[token]
-            post_sec += _binio.pack_u64(token)
-            post_sec += _binio.pack_u64(int(ids.shape[0]))
-            post_sec += ids.astype("<u8").tobytes()
-            post_sec += bits.astype("<u2").tobytes()
-
-        stats_sec = bytearray(_binio.pack_u64(self.stats.doc_count))
-        df = self.stats.doc_freq
-        stats_sec += _binio.pack_u64(len(df))
-        for token in sorted(df):
-            stats_sec += _binio.pack_u64(token) + _binio.pack_u64(df[token])
-
-        for section in (doc_sec, post_sec, stats_sec):
-            body += _binio.pack_u64(len(section))
-            body += section
-        _binio.write_checksummed(path, bytes(body))
+        rows = [[e.ext_id, e.text, e.payload] for e in self.doc_table]
+        doc_json = json.dumps(rows, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        body = [_MAGIC, _binio.pack_u16(_VERSION), _binio.pack_u64(len(doc_json)), doc_json]
+        body += [_binio.pack_u64(self.token_count), _binio.pack_u64(self.posting_count)]
+        for name, dtype in zip(_ARRAYS, ("<u4", "<u4", "<u4", "<u2")):
+            body.append(getattr(self, name).astype(dtype).tobytes())
+        _binio.write_checksummed(path, b"".join(body))
 
     @classmethod
     def load(cls, path: str) -> "InvertedIndex":
-        """Read an index file, rejecting one whose structure is invalid.
-
-        Beyond the checksum, every posting must list in-range doc ids in
-        strictly increasing order with finite, positive binary16 weights,
-        each token's df must equal its posting length, and the stats must
-        count the doc table.
-        """
+        """Read an index file, rejecting one whose structure is invalid
+        (see _parse_doc_table and _check_postings)."""
         reader = _binio.read_checksummed(path, _MAGIC)
         version = reader.u16()
         if version != _VERSION:
             raise _binio.VersionError(f"{path}: format version {version}, expected {_VERSION}")
-
-        sections = []
-        for _ in range(3):
-            length = reader.u64()
-            sections.append(_binio.ByteReader(reader.take(length)))
+        doc_json = reader.take(reader.u64())
+        n_tokens = reader.u64()
+        n_postings = reader.u64()
+        tokens = np.frombuffer(reader.take(4 * n_tokens), dtype="<u4")
+        lengths = np.frombuffer(reader.take(4 * n_tokens), dtype="<u4")
+        doc_ids = np.frombuffer(reader.take(4 * n_postings), dtype="<u4")
+        bits = np.frombuffer(reader.take(2 * n_postings), dtype="<u2")
         if reader.remaining():
             raise _binio.TruncatedError(f"{path}: {reader.remaining()} trailing bytes")
-
-        doc_r, post_r, stats_r = sections
-        doc_table = []
-        for _ in range(doc_r.u64()):
-            ext_id = doc_r.utf8()
-            text = doc_r.utf8()
-            plen = doc_r.u32()
-            payload = None if plen == 0xFFFFFFFF else doc_r.take(plen).decode("utf-8")
-            doc_table.append(DocEntry(ext_id, text, payload))
-
-        n_docs = len(doc_table)
-        postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for _ in range(post_r.u64()):
-            token = post_r.u64()
-            n = post_r.u64()
-            ids = np.frombuffer(post_r.take(8 * n), dtype="<u8").astype(np.int64)
-            bits = np.frombuffer(post_r.take(2 * n), dtype="<u2").astype(np.uint16)
-            postings[token] = (ids, bits)
-        _check_postings(path, postings, n_docs)
-
-        doc_count = stats_r.u64()
-        df = {}
-        for _ in range(stats_r.u64()):
-            token = stats_r.u64()
-            df[token] = stats_r.u64()
-        if doc_count != n_docs:
-            raise _binio.StorageError(f"{path}: stats count {doc_count} docs, the table {n_docs}")
-        if df != {token: int(ids.shape[0]) for token, (ids, _) in postings.items()}:
-            raise _binio.StorageError(f"{path}: document frequencies disagree with the postings")
-        return cls(postings, doc_table, VocabStats(doc_count, df))
+        doc_table = _parse_doc_table(path, doc_json)
+        _check_postings(path, tokens, lengths, doc_ids, bits, len(doc_table))
+        return cls(
+            doc_table,
+            tokens.astype(np.int64),
+            lengths.astype(np.int64),
+            doc_ids.astype(np.int64),
+            bits.astype(np.uint16),
+        )
 
 
-def _check_postings(path: str, postings: dict, n_docs: int) -> None:
-    """Raise StorageError unless every posting lists in-range doc ids in
-    strictly increasing order with positive, finite binary16 weights.
+def _parse_doc_table(path: str, raw: bytes) -> list[DocEntry]:
+    try:
+        rows = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise _binio.StorageError(f"{path}: the doc table is not UTF-8 JSON ({exc})") from exc
+    if type(rows) is not list:
+        raise _binio.StorageError(f"{path}: the doc table is not a JSON list")
+    for row in rows:
+        if type(row) is not list or [type(field) for field in row] not in _ROW_TYPES:
+            raise _binio.StorageError(f"{path}: doc row {row!r} is not [ext_id, text, payload]")
+    return [DocEntry(*row) for row in rows]
 
-    All postings are checked at once: a few numpy calls per token would
-    cost more than the rest of loading a small index.
+
+def _check_postings(path: str, tokens, lengths, doc_ids, bits, n_docs: int) -> None:
+    """Raise StorageError unless tokens strictly increase, every posting is
+    non-empty, the lengths sum to the postings, and every posting lists
+    in-range doc ids in strictly increasing order with positive, finite
+    binary16 weights. Each check is a whole-array operation on the arrays
+    as read.
     """
-    lengths = [ids.shape[0] for ids, _ in postings.values()]
-    if not any(lengths):
+    if (tokens[1:] <= tokens[:-1]).any():
+        raise _binio.StorageError(f"{path}: token ids are not strictly increasing")
+    if lengths.size and lengths.min() == 0:
+        raise _binio.StorageError(f"{path}: a posting is empty")
+    total = int(lengths.sum(dtype=np.int64))
+    if total != doc_ids.size:
+        raise _binio.StorageError(f"{path}: posting lengths sum to {total}, not {doc_ids.size}")
+    if not doc_ids.size:
         return
-    bits = np.concatenate([bits for _, bits in postings.values()])
     # Positive finite binary16 patterns are exactly 0x0001..0x7BFF.
     if bits.min() == 0 or bits.max() >= _F16_INF:
         raise _binio.StorageError(f"{path}: a posting has a zero, negative or non-finite weight")
-    keys = np.concatenate([ids for ids, _ in postings.values()])
-    # ids past 2**63 wrap negative as int64.
-    if keys.min() < 0 or keys.max() >= n_docs:
+    if doc_ids.max() >= n_docs:
         raise _binio.StorageError(f"{path}: a posting lists a doc id out of range")
-    # With every id below n_docs, adding p * n_docs to the ids of the p-th
-    # posting makes the whole array strictly increasing exactly when each
-    # posting is.
-    keys += np.repeat(np.arange(len(lengths), dtype=np.int64) * n_docs, lengths)
-    if (keys[1:] <= keys[:-1]).any():
+    # Each id must exceed its predecessor, except the first id of a posting.
+    rising = doc_ids[1:] > doc_ids[:-1]
+    rising[np.cumsum(lengths[:-1], dtype=np.int64) - 1] = True
+    if not rising.all():
         raise _binio.StorageError(f"{path}: a posting lists doc ids out of order")
 
 
@@ -249,11 +231,11 @@ def build(docs: Iterable[tuple]) -> InvertedIndex:
     Weights are quantized to binary16 here; entries whose quantized weight
     underflows to zero are dropped so scores stay strictly positive, and a
     weight too large for binary16 (65520 or more) is a build error, as are
-    duplicate external ids.
+    duplicate external ids, token ids outside u32 and non-string payloads.
     """
     doc_table: list[DocEntry] = []
-    token_docs: dict[int, list[int]] = {}
-    token_weights: dict[int, list[float]] = {}
+    token_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    weight_parts: list[np.ndarray] = [np.empty(0, dtype=np.float64)]
     seen: set[str] = set()
     for record in docs:
         if len(record) != 4:
@@ -265,26 +247,30 @@ def build(docs: Iterable[tuple]) -> InvertedIndex:
         seen.add(ext_id)
         if not isinstance(vec, SparseVector):
             raise BuildError(f"doc {ext_id!r}: vector must be a SparseVector")
-        internal = len(doc_table)
+        if payload is not None and not isinstance(payload, str):
+            raise BuildError(f"doc {ext_id!r}: payload must be a string or None")
         doc_table.append(DocEntry(ext_id, str(text), payload))
-        for token, weight in vec.items():
-            token_docs.setdefault(token, []).append(internal)
-            token_weights.setdefault(token, []).append(weight)
+        token_parts.append(vec.ids)
+        weight_parts.append(vec.weights)
 
-    postings: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    df: dict[int, int] = {}
-    for token, ids in token_docs.items():
-        bits = quantize_weights(np.array(token_weights[token], dtype=np.float64))
-        if bits.max() >= _F16_INF:
-            doc = doc_table[ids[int(np.argmax(bits >= _F16_INF))]].ext_id
-            raise BuildError(f"doc {doc!r}: weight for token {token} is too large for binary16")
-        keep = bits != 0  # quantization underflow to zero would score nothing
-        ids_arr = np.array(ids, dtype=np.int64)[keep]
-        bits_arr = bits[keep]
-        if ids_arr.shape[0] == 0:
-            continue
-        postings[token] = (ids_arr, bits_arr)
-        df[token] = int(ids_arr.shape[0])
-    stats = VocabStats(len(doc_table), df)
-    return InvertedIndex(postings, doc_table, stats)
-
+    tokens = np.concatenate(token_parts)
+    if tokens.size and (tokens.min() < 0 or tokens.max() > 0xFFFFFFFF):
+        raise BuildError("token ids must fit in u32")
+    # A stable sort keeps each token's docs in ingestion order, so every
+    # posting lists strictly increasing doc ids.
+    order = np.argsort(tokens, kind="stable")
+    sizes = [part.shape[0] for part in token_parts[1:]]
+    doc_ids = np.repeat(np.arange(len(doc_table), dtype=np.int64), sizes)[order]
+    tokens = tokens[order]
+    bits = quantize_weights(np.concatenate(weight_parts)[order])
+    if bits.size and bits.max() >= _F16_INF:
+        i = int(np.argmax(bits >= _F16_INF))
+        raise BuildError(
+            f"doc {doc_table[doc_ids[i]].ext_id!r}: weight for token {tokens[i]} "
+            "is too large for binary16"
+        )
+    keep = bits != 0  # quantization underflow to zero would score nothing
+    unique_tokens, lengths = np.unique(tokens[keep], return_counts=True)
+    return InvertedIndex(
+        doc_table, unique_tokens, lengths.astype(np.int64), doc_ids[keep], bits[keep]
+    )

@@ -41,15 +41,10 @@ class BehaviorLog:
     same surface forms the retrieval side sees.
     """
 
-    def __init__(self, records: Iterable[LogRecord], normalize: bool = True):
-        if normalize:
-            records = [
-                LogRecord(normalize_text(r.query), r.entity, r.engagements, r.day)
-                for r in records
-            ]
-        else:
-            records = list(records)
-        self.records: tuple[LogRecord, ...] = tuple(records)
+    def __init__(self, records: Iterable[LogRecord]):
+        self.records: tuple[LogRecord, ...] = tuple(
+            [LogRecord(normalize_text(r.query), r.entity, r.engagements, r.day) for r in records]
+        )
 
     def __len__(self) -> int:
         return len(self.records)

@@ -192,10 +192,11 @@ def idf(stats: VocabStats, token: int) -> float:
 def encode_query(tokenizer, stats: VocabStats, text: str) -> SparseVector:
     """Tokenize-and-IDF query encoding: indicator of token presence times IDF.
 
-    Duplicate tokens contribute once (presence, not frequency). Unknown
-    characters are dropped. Empty text gives an empty vector.
+    The tokenizer normalizes the text. Duplicate tokens contribute once
+    (presence, not frequency). Unknown characters are dropped. Empty text
+    gives an empty vector.
     """
-    tokens = tokenizer.segment(normalize_text(text))
+    tokens = tokenizer.segment(text)
     distinct = sorted({t for t in tokens if t >= 0})
     if not distinct:
         return SparseVector()

@@ -27,6 +27,10 @@ def _catalog():
     ]
 
 
+def _docs(*texts):
+    return [(f"d{i}", text) for i, text in enumerate(texts)]
+
+
 # -- trigram baseline ---------------------------------------------------------
 
 
@@ -110,14 +114,13 @@ def test_fuzzy_config_validation():
 
 
 def test_fuzzy_handles_short_words_trigram_cannot():
-    texts = [text for _, text in _catalog()]
-    r = FuzzyRetriever(texts)
+    r = FuzzyRetriever(_catalog())
     hits = r.search("me", k=3)
-    assert hits and hits[0].doc_id == 3  # positions, not external ids
+    assert hits and hits[0].doc_id == "c3"
 
 
 def test_fuzzy_score_is_word_order_invariant():
-    r = FuzzyRetriever(["taylor swift", "swift taylor"])
+    r = FuzzyRetriever(_docs("taylor swift", "swift taylor"))
     a = r.score("taylor swift", r.doc_words[0])
     b = r.score("swift taylor", r.doc_words[0])
     assert a == b
@@ -130,7 +133,7 @@ def test_fuzzy_score_is_word_order_invariant():
 def test_fuzzy_self_score_is_the_ceiling():
     rng = random.Random(3)
     texts = ["taylor swift", "tay dizm", "pink", "dj ek", "sonidero aczino"]
-    r = FuzzyRetriever(texts)
+    r = FuzzyRetriever(_docs(*texts))
     for q in texts + ["tayler swift", "p!nk"]:
         ceiling = r.self_score(q)
         for words in r.doc_words:
@@ -138,15 +141,15 @@ def test_fuzzy_self_score_is_the_ceiling():
 
 
 def test_fuzzy_one_edit_word_scores_near_its_length_fraction():
-    r = FuzzyRetriever(["taylor swift"])
+    r = FuzzyRetriever(_docs("taylor swift"))
     # "tayler" aligns to "taylor" at distance 1: sim = 1 - 1/6.
     sim_part = r.score("tayler", r.doc_words[0])
     assert sim_part == pytest.approx((1 - 1 / 6) * r.word_weight("tayler"))
 
 
 def test_fuzzy_prefix_lock_blocks_first_letter_edits():
-    loose = FuzzyRetriever(["taylor swift"], FuzzyConfig(max_edits=1, prefix_lock=0))
-    locked = FuzzyRetriever(["taylor swift"], FuzzyConfig(max_edits=1, prefix_lock=1))
+    loose = FuzzyRetriever(_docs("taylor swift"), FuzzyConfig(max_edits=1, prefix_lock=0))
+    locked = FuzzyRetriever(_docs("taylor swift"), FuzzyConfig(max_edits=1, prefix_lock=1))
     assert loose.score("baylor", loose.doc_words[0]) > 0.0
     assert locked.score("baylor", locked.doc_words[0]) == 0.0
     # Edits past the locked prefix still match.
@@ -154,9 +157,10 @@ def test_fuzzy_prefix_lock_blocks_first_letter_edits():
 
 
 def test_fuzzy_search_ranks_ties_and_validates_k():
-    r = FuzzyRetriever(["pink", "pink", "drake"])
+    r = FuzzyRetriever([("z", "pink"), ("a", "pink"), ("d", "drake")])
     hits = r.search("pink", k=5)
-    assert [h.doc_id for h in hits] == [0, 1]
+    # Equal scores rank by position, not by external id.
+    assert [h.doc_id for h in hits] == ["z", "a"]
     assert [h.rank for h in hits] == [1, 2]
     with pytest.raises(ValidationError):
         r.search("pink", k=0)
@@ -165,5 +169,5 @@ def test_fuzzy_search_ranks_ties_and_validates_k():
 
 def test_fuzzy_rare_words_outweigh_common_words():
     # "swift" appears in every doc, "aczino" in one: rarity boosts the latter.
-    r = FuzzyRetriever(["taylor swift", "swift aczino", "swift pink"])
+    r = FuzzyRetriever(_docs("taylor swift", "swift aczino", "swift pink"))
     assert r.word_weight("aczino") > r.word_weight("swift")

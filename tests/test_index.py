@@ -1,4 +1,6 @@
+import json
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -65,6 +67,12 @@ def test_build_rejects_malformed_records():
         build([("d0", "text", SparseVector([(0, 1.0)]))])
     with pytest.raises(BuildError):
         build([("d0", "text", {0: 1.0}, None)])
+    with pytest.raises(BuildError):
+        build([("d0", "text", SparseVector([(0, 1.0)]), {"kind": "artist"})])
+    # Token ids are stored as u32.
+    for token in (-1, 2**32):
+        with pytest.raises(BuildError):
+            build([("d0", "text", SparseVector([(token, 1.0)]), None)])
 
 
 def test_build_rejects_weights_that_overflow_binary16():
@@ -97,6 +105,23 @@ def test_build_drops_postings_that_quantize_to_zero():
     # The fully underflowed posting never scores.
     hits = idx.search(SparseVector([(0, 1.0)]), k=5)
     assert [h.doc_id for h in hits] == ["d1"]
+
+
+def test_build_postings_match_the_input_vectors():
+    # Per-doc reference: each doc's postings are its input vector rounded
+    # through binary16, minus weights that underflow to zero.
+    rng = random.Random(17)
+    for trial in range(20):
+        vocab = rng.randint(1, 30)
+        vecs = [_random_vector(rng, vocab) for _ in range(rng.randint(1, 40))]
+        vecs.append(SparseVector([(0, 1e-9), (vocab, 2.0)]))  # one underflows
+        idx = build((f"d{i}", "", v, None) for i, v in enumerate(vecs))
+        for vec, got in zip(vecs, iter_doc_vectors(idx)):
+            want = {
+                t: float(np.float16(w)) for t, w in vec.items() if np.float16(w) != 0
+            }
+            assert dict(got.items()) == want, trial
+        assert all((np.diff(ids) > 0).all() for ids, _ in idx.postings.values())
 
 
 def test_doc_weights_are_quantized_on_ingest():
@@ -227,11 +252,13 @@ def test_load_rejects_future_version(tmp_path):
     _small_index().save(str(p))
     raw = bytearray(p.read_bytes())
     body = raw[:-4]
-    body[4:6] = (99).to_bytes(2, "little")  # version field follows the magic
-    fixed = bytes(body) + crc32c(bytes(body)).to_bytes(4, "little")
-    p.write_bytes(fixed)
-    with pytest.raises(VersionError):
-        InvertedIndex.load(str(p))
+    # Version 1 files are rejected too: they must be rebuilt.
+    for version in (1, 99):
+        body[4:6] = version.to_bytes(2, "little")  # version field follows the magic
+        fixed = bytes(body) + crc32c(bytes(body)).to_bytes(4, "little")
+        p.write_bytes(fixed)
+        with pytest.raises(VersionError):
+            InvertedIndex.load(str(p))
 
 
 def test_load_rejects_trailing_bytes_inside_valid_checksum(tmp_path):
@@ -264,14 +291,63 @@ def test_empty_index_round_trip(tmp_path):
     p = tmp_path / "e.idx"
     idx.save(str(p))
     assert InvertedIndex.load(str(p)) == idx
-
-
-def _corrupt_and_reload(tmp_path, mutate):
-    """Save _small_index() after mutate(idx); the checksum stays valid."""
-    idx = _small_index()
-    mutate(idx)
-    p = tmp_path / "s.idx"
+    # Docs without postings: an empty vector and one that underflows binary16.
+    idx = build([("a", "x", SparseVector(), None), ("b", "y", SparseVector([(0, 1e-9)]), "p")])
+    assert (idx.doc_count, idx.token_count, idx.posting_count) == (2, 0, 0)
+    assert idx.stats == VocabStats(2, {})
     idx.save(str(p))
+    loaded = InvertedIndex.load(str(p))
+    assert loaded == idx
+    q = tmp_path / "e2.idx"
+    loaded.save(str(q))
+    assert p.read_bytes() == q.read_bytes()
+
+
+def _small_fields():
+    """The flat arrays and doc rows of _small_index(), as plain lists."""
+    idx = _small_index()
+    return {
+        "rows": [[e.ext_id, e.text, e.payload] for e in idx.doc_table],
+        "tokens": idx.tokens.tolist(),
+        "lengths": idx.lengths.tolist(),
+        "ids": idx.doc_ids.tolist(),
+        "bits": idx.bits.tolist(),
+    }
+
+
+def _v2_bytes(rows, tokens, lengths, ids, bits) -> bytes:
+    """A format-v2 index file with a valid checksum, whatever its contents."""
+    if not isinstance(rows, bytes):
+        rows = json.dumps(rows, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    body = b"".join(
+        [
+            b"SFNS",
+            struct.pack("<HQ", 2, len(rows)),
+            rows,
+            struct.pack("<QQ", len(tokens), len(ids)),
+            np.array(tokens, dtype="<u4").tobytes(),
+            np.array(lengths, dtype="<u4").tobytes(),
+            np.array(ids, dtype="<u4").tobytes(),
+            np.array(bits, dtype="<u2").tobytes(),
+        ]
+    )
+    return body + crc32c(body).to_bytes(4, "little")
+
+
+def test_saved_file_is_the_v2_layout(tmp_path):
+    p = tmp_path / "l.idx"
+    _small_index().save(str(p))
+    fields = _small_fields()
+    assert fields["tokens"] == [0, 1, 2]
+    assert fields["lengths"] == [2, 2, 2]
+    assert fields["ids"] == [0, 2, 1, 2, 0, 2]
+    assert p.read_bytes() == _v2_bytes(**fields)
+    assert InvertedIndex.load(str(p)) == _small_index()
+
+
+def _load_bytes(tmp_path, raw: bytes) -> InvertedIndex:
+    p = tmp_path / "s.idx"
+    p.write_bytes(raw)
     return InvertedIndex.load(str(p))
 
 
@@ -281,7 +357,7 @@ def _corrupt_and_reload(tmp_path, mutate):
         (1, [1, 5], [0x3C00, 0x3C00]),  # doc 5 in a 3-doc index
         (1, [2, 1], [0x3C00, 0x3C00]),  # out of order
         (1, [1, 1], [0x3C00, 0x3C00]),  # repeated doc
-        (0, [2**64 - 1, 2], [0x3C00, 0x3C00]),  # wraps to -1 as int64
+        (0, [2**32 - 1, 2], [0x3C00, 0x3C00]),  # largest u32 doc id
         (0, [0, 2], [0x3C00, 0x0000]),  # zero weight
         (0, [0, 2], [0x3C00, 0x7C00]),  # +inf
         (0, [0, 2], [0x3C00, 0x7E00]),  # NaN
@@ -289,27 +365,29 @@ def _corrupt_and_reload(tmp_path, mutate):
     ],
 )
 def test_load_rejects_invalid_postings(tmp_path, token, ids, bits):
-    def mutate(idx):
-        idx.postings[token] = (
-            np.array(ids, dtype=np.uint64).astype(np.int64),
-            np.array(bits, dtype=np.uint16),
-        )
-
+    # Every posting of _small_index() has length 2; replace the token's one.
+    fields = _small_fields()
+    fields["ids"][2 * token : 2 * token + 2] = ids
+    fields["bits"][2 * token : 2 * token + 2] = bits
     with pytest.raises(StorageError):
-        _corrupt_and_reload(tmp_path, mutate)
+        _load_bytes(tmp_path, _v2_bytes(**fields))
 
 
-def test_load_rejects_stats_that_disagree_with_postings(tmp_path):
-    def wrong_df(idx):
-        idx.stats = VocabStats(3, {**idx.stats.doc_freq, 0: 1})
-
-    def extra_df(idx):
-        idx.stats = VocabStats(3, {**idx.stats.doc_freq, 9: 1})
-
-    def wrong_doc_count(idx):
-        idx.stats = VocabStats(4, dict(idx.stats.doc_freq))
-
-    for mutate in (wrong_df, extra_df, wrong_doc_count):
-        with pytest.raises(StorageError):
-            _corrupt_and_reload(tmp_path, mutate)
-    assert _corrupt_and_reload(tmp_path, lambda idx: None) == _small_index()
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tokens", [0, 2, 1]),  # unsorted
+        ("tokens", [0, 1, 1]),  # duplicate
+        ("lengths", [2, 4, 0]),  # zero-length posting
+        ("lengths", [2, 2, 1]),  # sums to 5 of 6 postings
+        ("rows", [["d0", "alpha", None], ["d1", "beta"], ["d2", "gamma", None]]),
+        ("rows", [["d0", "alpha", None], ["d1", "beta", 7], ["d2", "gamma", None]]),
+        ("rows", None),  # not a list
+        ("rows", b"\xff["),  # not UTF-8 JSON
+    ],
+)
+def test_load_rejects_malformed_layout(tmp_path, field, value):
+    fields = _small_fields()
+    fields[field] = value
+    with pytest.raises(StorageError):
+        _load_bytes(tmp_path, _v2_bytes(**fields))
