@@ -52,13 +52,14 @@ def crc32c(data: bytes, crc: int = 0) -> int:
 
 
 class ByteReader:
-    """Cursor over a byte buffer that fails loudly on short reads."""
+    """Cursor over a byte buffer that fails loudly on short reads. Sections
+    are views into the buffer, not copies."""
 
     def __init__(self, buf: bytes):
-        self._buf = buf
+        self._buf = memoryview(buf)
         self._pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if n < 0 or self._pos + n > len(self._buf):
             raise TruncatedError("file ends before a declared field")
         out = self._buf[self._pos : self._pos + n]

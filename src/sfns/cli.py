@@ -22,11 +22,11 @@ from . import baselines, evaluation, hci, index as index_mod, mining, retrieval
 from ._binio import StorageError
 from .encoder import (
     TrainConfig,
-    encode_doc,
     init_params,
     load_external_vectors,
     load_params,
     prepare_dataset,
+    save_external_vectors,
     save_params,
     train,
 )
@@ -44,44 +44,6 @@ logger = logging.getLogger("sfns")
 def _read_lines(path: str) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh if line.strip()]
-
-
-def _read_docs(path: str) -> list[tuple[str, str, str | None]]:
-    """JSONL rows {"id", "text"[, "payload"]}."""
-    rows: list[tuple[str, str, str | None]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                doc_id = str(obj["id"])
-                text = str(obj["text"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValidationError(f"{path}:{lineno}: bad doc record ({exc})") from exc
-            payload = obj.get("payload")
-            if payload is not None and not isinstance(payload, str):
-                payload = json.dumps(payload, sort_keys=True)
-            rows.append((doc_id, text, payload))
-    if not rows:
-        raise ValidationError(f"{path}: no documents")
-    return rows
-
-
-def _read_query_lines(path: str) -> list[str]:
-    """JSONL rows {"q": ...}."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                out.append(normalize_text(str(json.loads(line)["q"])))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ValidationError(
-                    f"{path}:{lineno}: bad query record ({exc})"
-                ) from exc
-    return out
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -176,7 +138,7 @@ def _cmd_encoder_train(args) -> int:
     if not dataset:
         raise ValidationError("no usable training triples after tokenization")
     if args.docs:
-        stats = _doc_stats(model, [text for _, text, _ in _read_docs(args.docs)])
+        stats = _doc_stats(model, [text for _, text, _ in evaluation.load_docs(args.docs)])
     else:
         # No catalog given: treat the positives as the document collection.
         stats = _doc_stats(model, sorted({t.q_pos for t in triples}))
@@ -207,17 +169,13 @@ def _cmd_encoder_train(args) -> int:
 def _cmd_encoder_encode(args) -> int:
     model = TokenizerModel.load(args.tokenizer)
     params = load_params(args.params)
-    docs = _read_docs(args.input)
-    written = 0
-    with open(args.out, "w", encoding="utf-8") as fh:
-        for doc_id, text, _ in docs:
-            toks = retrieval_tokens(model, text)
-            vec = encode_doc(params, toks) if toks else None
-            weights = {model.id_to_piece(t): w for t, w in vec.items()} if vec else {}
-            fh.write(json.dumps({"id": doc_id, "vec": weights}, sort_keys=True))
-            fh.write("\n")
-            written += 1
-    _emit(args, {"vectors": args.out, "docs": written})
+    docs = evaluation.load_docs(args.input)
+    save_external_vectors(
+        ((doc_id, retrieval.doc_vector(model, text, params)) for doc_id, text, _ in docs),
+        model,
+        args.out,
+    )
+    _emit(args, {"vectors": args.out, "docs": len(docs)})
     return 0
 
 
@@ -226,7 +184,7 @@ def _cmd_encoder_encode(args) -> int:
 
 def _cmd_index_build(args) -> int:
     model = TokenizerModel.load(args.tokenizer)
-    docs = _read_docs(args.docs)
+    docs = evaluation.load_docs(args.docs)
     if args.vectors:
         by_id = dict(load_external_vectors(args.vectors, model))
         for doc_id, _, _ in docs:
@@ -255,7 +213,7 @@ def _cmd_index_build(args) -> int:
 def _cmd_index_search(args) -> int:
     index = InvertedIndex.load(args.index)
     model = TokenizerModel.load(args.tokenizer)
-    hits = retrieval.sparse_retrieve(index, model, args.query, args.k, args.weighting)
+    hits = retrieval.sparse_retrieve(index, model, args.query, args.k)
     _emit(args, {"query": normalize_text(args.query), "hits": _hits_json(hits)}, args.out)
     return 0
 
@@ -285,7 +243,7 @@ def _cmd_search(args) -> int:
         return _cmd_index_search(args)
     if not args.docs:
         raise ValidationError(f"--method {args.method} needs --docs")
-    docs = _read_docs(args.docs)
+    docs = evaluation.load_docs(args.docs)
     if args.method == "trigram":
         tindex = baselines.build_trigram_index((d, t) for d, t, _ in docs)
         hits = baselines.trigram_retrieve(tindex, args.query, args.k)
@@ -381,8 +339,8 @@ def _make_retriever(args, docs):
 def _cmd_eval_run(args) -> int:
     if args.method == "sparse" and not args.tokenizer:
         raise ValidationError("--method sparse needs --tokenizer")
-    docs = _read_docs(args.docs)
-    queries = _read_query_lines(args.queries)
+    docs = evaluation.load_docs(args.docs)
+    queries = evaluation.load_queries(args.queries)
     qrels = evaluation.load_qrels(args.qrels)
     retriever = _make_retriever(args, docs)
     ks = _parse_ks(args.k)
@@ -425,7 +383,7 @@ def _cmd_gen_synth(args) -> int:
 
 def _cmd_sim_replay(args) -> int:
     log = BehaviorLog.from_jsonl(args.log)
-    catalog = [(d, t) for d, t, _ in _read_docs(args.catalog)]
+    catalog = [(d, t) for d, t, _ in evaluation.load_docs(args.catalog)]
     tokenizer = TokenizerModel.load(args.tokenizer) if args.tokenizer else None
     params = load_params(args.params) if args.params else None
     channel = hci.ChannelConfig(
@@ -523,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokenizer", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--k", type=int, default=10)
-    p.add_argument("--weighting", choices=("idf", "none"), default="idf")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_index_search)
 
@@ -539,7 +496,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--index", help="sparse: index blob")
     p.add_argument("--tokenizer", help="sparse: tokenizer model")
-    p.add_argument("--weighting", choices=("idf", "none"), default="idf")
     p.add_argument("--docs", help="trigram/fuzzy: docs JSONL")
     p.add_argument("--max-edits", type=int, default=1, dest="max_edits")
     p.add_argument("--prefix-lock", type=int, default=0, dest="prefix_lock")

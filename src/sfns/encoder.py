@@ -15,15 +15,14 @@ are checked against central finite differences in the test suite.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _binio
+from . import _binio, _jsonl
 from .sparse import SparseVector, ValidationError, VocabStats, idf
 from .tokenizer import TokenizerModel, retrieval_tokens
 
@@ -359,42 +358,47 @@ def mean_nonzero_dims(params: EncoderParams, token_lists: Iterable[Sequence[int]
     return float(np.mean(counts))
 
 
+def save_external_vectors(
+    vectors: Iterable[tuple[str, SparseVector]], model: TokenizerModel, path: str
+) -> None:
+    """Write (doc id, vector) pairs as {"id", "vec": {piece: weight}} rows."""
+    _jsonl.write(
+        path,
+        (
+            {"id": doc_id, "vec": {model.id_to_piece(t): w for t, w in vec.items()}}
+            for doc_id, vec in vectors
+        ),
+    )
+
+
 def load_external_vectors(
     path: str, model: TokenizerModel
-) -> Iterator[tuple[str, SparseVector]]:
-    """Read {"id", "vec": {piece: weight}} JSONL produced by a larger model.
-
-    Unknown piece strings are skipped with a per-line warning; malformed
-    lines raise with their line number.
+) -> list[tuple[str, SparseVector]]:
+    """Read {"id", "vec": {piece: number}} rows, written by save_external_vectors
+    or by a larger model. Unknown pieces are skipped with a warning naming the doc.
     """
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+
+    def parse(obj: dict) -> tuple[str, SparseVector]:
+        doc_id = str(obj["id"])
+        vec = obj["vec"]
+        if type(vec) is not dict or any(type(w) not in (int, float) for w in vec.values()):
+            raise TypeError("field 'vec' must be an object of numbers")
+        pairs = []
+        unknown = []
+        for piece, weight in vec.items():
+            tid = model.piece_id(piece)
+            if tid is None:
+                unknown.append(piece)
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict) or "id" not in obj or "vec" not in obj:
-                raise ValidationError(f"{path}:{lineno}: expected an object with 'id' and 'vec'")
-            pairs = []
-            unknown = []
-            for piece, weight in obj["vec"].items():
-                tid = model.piece_id(piece)
-                if tid is None:
-                    unknown.append(piece)
-                    continue
-                pairs.append((tid, float(weight)))
-            if unknown:
-                logger.warning(
-                    "%s:%d: skipped %d unknown piece(s): %s",
-                    path, lineno, len(unknown), ", ".join(repr(p) for p in unknown[:5]),
-                )
-            try:
-                vec = SparseVector(pairs)
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            yield str(obj["id"]), vec
+            pairs.append((tid, float(weight)))
+        if unknown:
+            logger.warning(
+                "%s: doc %r: skipped %d unknown piece(s): %s",
+                path, doc_id, len(unknown), ", ".join(repr(p) for p in unknown[:5]),
+            )
+        return doc_id, SparseVector(pairs)
+
+    return _jsonl.read(path, parse)
 
 
 def save_params(params: EncoderParams, path: str) -> None:

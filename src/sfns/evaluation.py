@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import time
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import Callable, Mapping, Sequence
 
+from . import _jsonl
 from .mining import BehaviorLog, LogRecord
 from .sparse import ValidationError, normalize_text
 
@@ -409,41 +411,48 @@ def synth_corpus(
 
 
 def write_corpus_dir(corpus: SynthCorpus, out_dir: str) -> None:
-    import os
-
+    """Write docs.jsonl, queries.jsonl, qrels.jsonl and log.jsonl."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "docs.jsonl"), "w", encoding="utf-8") as fh:
-        for entity_id, text in corpus.docs:
-            fh.write(json.dumps({"id": entity_id, "text": text}, sort_keys=True) + "\n")
-    with open(os.path.join(out_dir, "queries.jsonl"), "w", encoding="utf-8") as fh:
-        for q in corpus.queries:
-            fh.write(
-                json.dumps(
-                    {"q": q.text, "entity": q.entity_id, "category": q.category},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    with open(os.path.join(out_dir, "qrels.jsonl"), "w", encoding="utf-8") as fh:
-        for q in sorted(corpus.qrels):
-            fh.write(
-                json.dumps({"q": q, "docs": sorted(corpus.qrels[q])}, sort_keys=True) + "\n"
-            )
+    files = {
+        "docs.jsonl": ({"id": i, "text": t} for i, t in corpus.docs),
+        "queries.jsonl": (
+            {"q": q.text, "entity": q.entity_id, "category": q.category} for q in corpus.queries
+        ),
+        "qrels.jsonl": ({"q": q, "docs": sorted(corpus.qrels[q])} for q in sorted(corpus.qrels)),
+    }
+    for name, rows in files.items():
+        _jsonl.write(os.path.join(out_dir, name), rows)
     corpus.log.to_jsonl(os.path.join(out_dir, "log.jsonl"))
 
 
+def _doc_row(obj: dict) -> tuple[str, str, str | None]:
+    payload = obj.get("payload")
+    if payload is not None and not isinstance(payload, str):
+        payload = json.dumps(payload, sort_keys=True)
+    return str(obj["id"]), _jsonl.string(obj, "text"), payload
+
+
+def load_docs(path: str) -> list[tuple[str, str, str | None]]:
+    """(id, text, payload) from rows {"id", "text"[, "payload"]}; a payload
+    that is not a string is kept as its sorted-key JSON."""
+    rows = _jsonl.read(path, _doc_row)
+    if not rows:
+        raise ValidationError(f"{path}: no documents")
+    return rows
+
+
+def load_queries(path: str) -> list[str]:
+    """Normalized query texts from rows {"q"[, "entity", "category"]}."""
+    return _jsonl.read(path, lambda obj: normalize_text(_jsonl.string(obj, "q")))
+
+
+def _qrels_row(obj: dict) -> tuple[str, set[str]]:
+    docs = set(_jsonl.strings(obj, "docs"))
+    if not docs:
+        raise ValueError("query has no relevant docs")
+    return normalize_text(_jsonl.string(obj, "q")), docs
+
+
 def load_qrels(path: str) -> dict[str, set[str]]:
-    out: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                docs = set(obj["docs"])
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValidationError(f"{path}:{lineno}: bad qrels record ({exc})") from exc
-            if not docs:
-                raise ValidationError(f"{path}:{lineno}: query has no relevant docs")
-            out[normalize_text(obj["q"])] = docs
-    return out
+    """Normalized query -> relevant doc ids, from rows {"q", "docs"}."""
+    return dict(_jsonl.read(path, _qrels_row))

@@ -184,9 +184,9 @@ class InvertedIndex:
         )
 
 
-def _parse_doc_table(path: str, raw: bytes) -> list[DocEntry]:
+def _parse_doc_table(path: str, raw: memoryview) -> list[DocEntry]:
     try:
-        rows = json.loads(raw.decode("utf-8"))
+        rows = json.loads(str(raw, "utf-8"))
     except ValueError as exc:  # bad UTF-8 or bad JSON
         raise _binio.StorageError(f"{path}: the doc table is not UTF-8 JSON ({exc})") from exc
     if type(rows) is not list:

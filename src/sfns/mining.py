@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from datetime import date, datetime
 from typing import Callable, Iterable, Sequence
 
+from . import _jsonl
 from .sparse import ValidationError, normalize_text
 
 logger = logging.getLogger(__name__)
@@ -91,36 +92,26 @@ class BehaviorLog:
 
     @classmethod
     def from_jsonl(cls, path: str) -> "BehaviorLog":
-        records = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    records.append(
-                        LogRecord(
-                            query=obj["q"],
-                            entity=str(obj["e"]),
-                            engagements=int(obj["n"]),
-                            day=datetime.strptime(obj["day"], "%Y-%m-%d").date(),
-                        )
-                    )
-                except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                    raise ValidationError(f"{path}:{lineno}: bad log record ({exc})") from exc
-        return cls(records)
+        """Read rows {"q", "e", "n", "day": "YYYY-MM-DD"}."""
+        return cls(_jsonl.read(path, _log_row))
 
     def to_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in self.records:
-                fh.write(
-                    json.dumps(
-                        {"q": r.query, "e": r.entity, "n": r.engagements,
-                         "day": r.day.isoformat()},
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        _jsonl.write(
+            path,
+            (
+                {"q": r.query, "e": r.entity, "n": r.engagements, "day": r.day.isoformat()}
+                for r in self.records
+            ),
+        )
+
+
+def _log_row(obj: dict) -> LogRecord:
+    return LogRecord(
+        query=_jsonl.string(obj, "q"),
+        entity=str(obj["e"]),
+        engagements=int(obj["n"]),
+        day=datetime.strptime(obj["day"], "%Y-%m-%d").date(),
+    )
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -378,56 +369,40 @@ def split_by_components(log: BehaviorLog, test_fraction: float, seed: int) -> Sp
 
 
 def save_pairs(pairs: Sequence[MinedPair], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for p in pairs:
-            fh.write(
-                json.dumps(
-                    {"q": p.q, "pos": p.q_pos, "entities": sorted(p.shared_entities)},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    _jsonl.write(
+        path,
+        ({"q": p.q, "pos": p.q_pos, "entities": sorted(p.shared_entities)} for p in pairs),
+    )
 
 
 def load_pairs(path: str) -> list[MinedPair]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(
-                    MinedPair(obj["q"], obj["pos"], frozenset(obj.get("entities", ())))
-                )
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValidationError(f"{path}:{lineno}: bad pair record ({exc})") from exc
-    return out
+    """Read rows {"q", "pos"[, "entities"]}."""
+    return _jsonl.read(
+        path,
+        lambda obj: MinedPair(
+            _jsonl.string(obj, "q"),
+            _jsonl.string(obj, "pos"),
+            frozenset(_jsonl.strings(obj, "entities")),
+        ),
+    )
 
 
 def save_triples(triples: Sequence[TrainTriple], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in triples:
-            fh.write(
-                json.dumps(
-                    {"q": t.q, "pos": t.q_pos, "negs": list(t.negatives)}, sort_keys=True
-                )
-                + "\n"
-            )
+    _jsonl.write(
+        path, ({"q": t.q, "pos": t.q_pos, "negs": list(t.negatives)} for t in triples)
+    )
 
 
 def load_triples(path: str) -> list[TrainTriple]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(TrainTriple(obj["q"], obj["pos"], tuple(obj.get("negs", ()))))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValidationError(f"{path}:{lineno}: bad triple record ({exc})") from exc
-    return out
+    """Read rows {"q", "pos"[, "negs"]}."""
+    return _jsonl.read(
+        path,
+        lambda obj: TrainTriple(
+            _jsonl.string(obj, "q"),
+            _jsonl.string(obj, "pos"),
+            tuple(_jsonl.strings(obj, "negs")),
+        ),
+    )
 
 
 def save_split_manifest(result: SplitResult, path: str) -> None:

@@ -53,28 +53,17 @@ def build_sparse_index(
 
 
 def sparse_query_vector(
-    index: InvertedIndex,
-    model: TokenizerModel,
-    text: str,
-    weighting: str = "idf",
+    index: InvertedIndex, model: TokenizerModel, text: str
 ) -> SparseVector:
-    if weighting == "idf":
-        return encode_query(model, index.stats, text)
-    if weighting != "none":
-        raise ValidationError(f"weighting must be 'idf' or 'none', got {weighting!r}")
-    return plain_doc_vector(model, text)
+    return encode_query(model, index.stats, text)
 
 
 def sparse_retrieve(
-    index: InvertedIndex,
-    model: TokenizerModel,
-    text: str,
-    k: int,
-    weighting: str = "idf",
+    index: InvertedIndex, model: TokenizerModel, text: str, k: int
 ) -> list[SearchHit]:
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-    query = sparse_query_vector(index, model, text, weighting)
+    query = sparse_query_vector(index, model, text)
     if query.nnz == 0:
         return []
     return index.search(query, k)

@@ -311,6 +311,11 @@ def train_unigram(
         log_prob = _prune(log_prob, counts, single_chars, shrink_factor, vocab_size, max_piece_len)
         logger.info("round %d: pruned to %d pieces", rounds, len(log_prob))
 
+    if len(log_prob) < vocab_size:
+        # The EM pass after a prune drops every piece whose expected count is zero.
+        logger.warning(
+            "unigram training asked for %d pieces and returned %d", vocab_size, len(log_prob)
+        )
     return TokenizerModel(log_prob, max_piece_len)
 
 

@@ -228,7 +228,7 @@ def test_exit_zero_on_help(capsys):
     capsys.readouterr()
 
 
-def test_exit_one_on_usage_and_validation_errors(corpus_dir, tmp_path, capsys):
+def test_exit_one_on_usage_and_validation_errors(artifacts, corpus_dir, tmp_path, capsys):
     assert main(["definitely-not-a-command"]) == 1
     capsys.readouterr()
     assert main(["index", "stats", "--no-such-flag"]) == 1
@@ -244,6 +244,45 @@ def test_exit_one_on_usage_and_validation_errors(corpus_dir, tmp_path, capsys):
     # Missing required pairing: sparse without --index.
     code, _, err = _run(capsys, ["search", "--method", "sparse", "--query", "x"])
     assert code == 1
+    # A malformed JSONL line names its file and line.
+    bad = tmp_path / "bad.jsonl"
+    out = str(tmp_path / "out")
+    tok = str(artifacts / "tok.tsv")
+    docs = str(corpus_dir / "docs.jsonl")
+    log = str(corpus_dir / "log.jsonl")
+    mine_pairs = ["mine", "pairs", "--log", str(bad), "--out", out]
+    replay = ["sim", "replay", "--log", str(bad), "--catalog", docs]
+    negatives = ["mine", "negatives", "--pairs", str(bad), "--log", log,
+                 "--tokenizer", tok, "--out", out]
+    encoder_train = ["encoder", "train", "--tokenizer", tok, "--triples", str(bad),
+                     "--out", out]
+    qrels = ["eval", "run", "--docs", docs, "--queries", str(corpus_dir / "queries.jsonl"),
+             "--qrels", str(bad), "--method", "trigram"]
+    vectors = ["index", "build", "--tokenizer", tok, "--docs", docs,
+               "--vectors", str(bad), "--out", out]
+    fuzzy = ["search", "--method", "fuzzy", "--query", "none", "--docs", str(bad)]
+    log_row = '"e": "e1", "n": 3, "day": "2026-01-05"'
+    cases = [
+        (mine_pairs, "[1, 2]"),
+        (mine_pairs, '{"q": 5, ' + log_row + "}"),
+        (mine_pairs, '{"q": "a", "e": "e1", "n": 1e400, "day": "2026-01-05"}'),
+        (replay, "[1, 2]"),
+        (replay, '{"q": 5, ' + log_row + "}"),
+        (negatives, "[1, 2]"),
+        (encoder_train, "[1, 2]"),
+        (encoder_train, '{"q": "a", "pos": "b", "negs": 5}'),
+        (qrels, "[1, 2]"),
+        (qrels, '{"q": "a", "docs": 5}'),
+        (vectors, '{"id": "e00000", "vec": [1]}'),
+        (vectors, '{"id": "e00000", "vec": {"a": null}}'),
+        (vectors, '{"id": "e00000", "vec": {"zzzz": null}}'),
+        (fuzzy, '{"id": "a", "text": null}'),
+    ]
+    for argv, line in cases:
+        bad.write_text(line + "\n", encoding="utf-8")
+        code, _, err = _run(capsys, argv)
+        assert code == 1, (argv, line)
+        assert err.startswith(f"error: {bad}:1:"), (argv, line, err)
 
 
 def test_exit_two_on_missing_and_corrupt_files(artifacts, tmp_path, capsys):

@@ -19,6 +19,7 @@ from sfns.encoder import (
     loss,
     mean_nonzero_dims,
     prepare_dataset,
+    save_external_vectors,
     save_params,
     train,
 )
@@ -280,6 +281,24 @@ def test_load_external_vectors_round_trip(tmp_path, caplog):
     }
     assert dict(rows[1][1].items()) == {model.piece_id("pi"): 0.5}
     assert any("unknown piece" in r.message for r in caplog.records)
+
+
+def test_external_vectors_save_load_round_trip(tmp_path, caplog):
+    model = TokenizerModel({"pi": -1.0, "nk": -1.0, "me": -1.0}, max_piece_len=3)
+    vectors = [
+        ("d1", SparseVector([(model.piece_id("pi"), 1.5), (model.piece_id("me"), 0.1)])),
+        ("d2", SparseVector(())),
+    ]
+    p = tmp_path / "vec.jsonl"
+    save_external_vectors(vectors, model, str(p))
+    back = load_external_vectors(str(p), model)
+    assert [(i, dict(v.items())) for i, v in back] == [
+        (i, dict(v.items())) for i, v in vectors
+    ]
+    # An unknown piece is skipped with a warning that names its doc.
+    with caplog.at_level(logging.WARNING, logger="sfns.encoder"):
+        load_external_vectors(str(p), TokenizerModel({"pi": -1.0}, max_piece_len=3))
+    assert any("doc 'd1'" in r.getMessage() for r in caplog.records)
 
 
 def test_load_external_vectors_reports_line_numbers(tmp_path):

@@ -8,7 +8,9 @@ from sfns.evaluation import (
     SynthQuery,
     TypoSpec,
     hit_ids,
+    load_docs,
     load_qrels,
+    load_queries,
     ndcg_at_k,
     precision_at_k,
     recall_at_k,
@@ -260,6 +262,20 @@ def test_write_corpus_dir_round_trips(tmp_path):
     from sfns.mining import BehaviorLog
 
     assert BehaviorLog.from_jsonl(str(out / "log.jsonl")).records == corpus.log.records
+
+
+def test_docs_and_queries_round_trip(tmp_path):
+    corpus = synth_corpus(seed=2, n_entities=20, queries_per_entity=3)
+    write_corpus_dir(corpus, str(tmp_path))
+    assert load_docs(str(tmp_path / "docs.jsonl")) == [(i, t, None) for i, t in corpus.docs]
+    assert load_queries(str(tmp_path / "queries.jsonl")) == [q.text for q in corpus.queries]
+    # A payload that is not a string is kept as its sorted-key JSON.
+    p = tmp_path / "payload.jsonl"
+    p.write_text('{"id": 7, "text": "a", "payload": {"b": 1, "a": [2]}}\n')
+    assert load_docs(str(p)) == [("7", "a", '{"a": [2], "b": 1}')]
+    p.write_text("\n")
+    with pytest.raises(ValidationError, match="no documents"):
+        load_docs(str(p))
 
 
 def test_load_qrels_rejects_bad_rows(tmp_path):

@@ -90,14 +90,6 @@ def test_query_token_unseen_in_corpus_gets_floor_idf():
         assert w == pytest.approx(expect)
 
 
-def test_query_weighting_none_gives_uniform_indicators():
-    index, model = _catalog_index()
-    q = sparse_query_vector(index, model, "pink pink", weighting="none")
-    assert set(dict(q.items()).values()) == {1.0}
-    with pytest.raises(ValidationError):
-        sparse_query_vector(index, model, "pink", weighting="tfidf")
-
-
 # -- retrieval ----------------------------------------------------------------
 
 

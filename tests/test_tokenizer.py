@@ -1,8 +1,10 @@
+import logging
 import random
 import string
 
 import pytest
 
+from sfns.evaluation import synth_corpus
 from sfns.sparse import ValidationError
 from sfns.tokenizer import (
     UNK_ID,
@@ -167,6 +169,19 @@ def test_train_prunes_down_to_vocab_size_on_rich_corpora():
     model = train_unigram(words, vocab_size=24, max_piece_len=3)
     # 8 singles always survive; the budget bounds the total.
     assert 8 <= model.vocab_size <= 24
+
+
+def test_train_warns_when_it_returns_fewer_pieces_than_asked(caplog):
+    # The last EM pass after a prune drops every zero-count piece: on these
+    # names the 200-piece budget ends at 95 pieces and no 3-character piece.
+    names = [text for _, text in synth_corpus(7, 3000, 1).docs[:500]]
+    with caplog.at_level(logging.WARNING, logger="sfns.tokenizer"):
+        model = train_unigram(names, vocab_size=200)
+    assert model.vocab_size == 95
+    assert max(len(p) for p in model.pieces()) == 2
+    assert any(
+        "asked for 200 pieces and returned 95" in r.getMessage() for r in caplog.records
+    )
 
 
 # -- persistence --------------------------------------------------------------
