@@ -1,17 +1,38 @@
 """The one reader and writer of JSONL record files: one JSON object per line,
 blank lines skipped. Each format's row parser sits next to its writer: docs,
 queries and qrels in `evaluation`, the behavior log, pairs and triples in
-`mining`, vectors in `encoder`.
+`mining`, vectors in `encoder`. `lines` also reads the plain-text tokenizer
+corpora.
 """
 
 from __future__ import annotations
 
+import io
 import json
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .sparse import ValidationError
 
 T = TypeVar("T")
+
+
+def lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each non-blank line of a UTF-8 text file, with
+    universal newlines as in text mode. A file that is not UTF-8 raises
+    ValidationError naming path:lineno of the first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = io.StringIO(data[: exc.start].decode("utf-8"), newline=None).read()
+        lineno = before.count("\n") + 1
+        raise ValidationError(
+            f"{path}:{lineno}: not UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from exc
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
+        if line.strip():
+            yield lineno, line
 
 
 def read(path: str, parse: Callable[[dict], T]) -> list[T]:
@@ -19,19 +40,16 @@ def read(path: str, parse: Callable[[dict], T]) -> list[T]:
     not a JSON object, or that parse rejects with ValueError, KeyError,
     TypeError or OverflowError, raises ValidationError naming path:lineno."""
     rows: list[T] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                if type(obj) is not dict:
-                    raise TypeError(f"expected a JSON object, got {line.strip()[:40]}")
-                rows.append(parse(obj))
-            except KeyError as exc:
-                raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
-            except (ValueError, TypeError, OverflowError) as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in lines(path):
+        try:
+            obj = json.loads(line)
+            if type(obj) is not dict:
+                raise TypeError(f"expected a JSON object, got {line.strip()[:40]}")
+            rows.append(parse(obj))
+        except KeyError as exc:
+            raise ValidationError(f"{path}:{lineno}: missing field {exc}") from exc
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return rows
 
 

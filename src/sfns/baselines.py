@@ -18,7 +18,7 @@ import numpy as np
 
 from . import index as index_mod
 from .index import InvertedIndex, SearchHit
-from .sparse import SparseVector, ValidationError, idf, normalize_text
+from .sparse import SparseVector, ValidationError, encode_query, normalize_text
 from .tokenizer import trigrams
 
 
@@ -48,13 +48,10 @@ def trigram_query_vector(tindex: TrigramIndex, query: str) -> SparseVector:
 
     Unknown trigrams have no postings and would score nothing, so they are
     omitted. A query whose words are all under 3 chars yields the empty
-    vector, which is the whole problem with this method. Vocab ids follow
-    the sorted trigram strings, so sorting the strings sorts the ids.
+    vector, which is the whole problem with this method.
     """
-    distinct = sorted({t for t in trigrams(query) if t in tindex.vocab})
-    ids = np.array([tindex.vocab[t] for t in distinct], dtype=np.int64)
-    weights = np.array([idf(tindex.index.stats, int(t)) for t in ids], dtype=np.float64)
-    return SparseVector._raw(ids, weights)
+    known = [tindex.vocab[t] for t in trigrams(query) if t in tindex.vocab]
+    return encode_query(tindex.index.stats, known)
 
 
 def trigram_retrieve(tindex: TrigramIndex, query: str, k: int) -> list[SearchHit]:

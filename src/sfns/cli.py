@@ -18,7 +18,7 @@ import os
 import sys
 from datetime import datetime, timezone
 
-from . import baselines, evaluation, hci, index as index_mod, mining, retrieval
+from . import _jsonl, baselines, evaluation, hci, index as index_mod, mining, retrieval
 from ._binio import StorageError
 from .encoder import (
     TrainConfig,
@@ -42,8 +42,7 @@ logger = logging.getLogger("sfns")
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh if line.strip()]
+    return [line.rstrip("\n") for _, line in _jsonl.lines(path)]
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -186,7 +185,14 @@ def _cmd_index_build(args) -> int:
     model = TokenizerModel.load(args.tokenizer)
     docs = evaluation.load_docs(args.docs)
     if args.vectors:
-        by_id = dict(load_external_vectors(args.vectors, model))
+        doc_ids = {doc_id for doc_id, _, _ in docs}
+        by_id = {}
+        for doc_id, vec in load_external_vectors(args.vectors, model):
+            if doc_id in by_id:
+                raise ValidationError(f"doc {doc_id!r} listed twice in {args.vectors}")
+            if doc_id not in doc_ids:
+                raise ValidationError(f"doc {doc_id!r} in {args.vectors} is not in {args.docs}")
+            by_id[doc_id] = vec
         for doc_id, _, _ in docs:
             if doc_id not in by_id:
                 raise ValidationError(f"doc {doc_id!r} missing from {args.vectors}")

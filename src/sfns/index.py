@@ -1,9 +1,11 @@
 """Inverted index over quantized sparse document vectors with exact top-k.
 
 Document weights are stored as binary16 bit patterns (the only lossy step in
-the engine); query weights stay full precision. Search is term-at-a-time with
-float64 accumulation in ascending token order, which makes scores bit-identical
-to the document-at-a-time brute-force oracle.
+the engine); query weights stay full precision. The bits are decoded to
+float64 once, when the index is constructed; the decode is exact. Search is
+term-at-a-time over the flat arrays with float64 accumulation in ascending
+token order, which makes scores bit-identical to the document-at-a-time
+brute-force oracle, and then ranks only the documents that scored.
 
 Build, save and load share one flat posting layout: ascending token ids, one
 posting length per token, then every posting's doc ids and weight bits back
@@ -58,11 +60,13 @@ class SearchHit:
 
 
 class InvertedIndex:
-    """token_id -> (doc_id array, binary16 weight bits), plus a doc table.
+    """Flat postings (doc ids, binary16 bits, decoded weights) plus a doc table.
 
     Internal doc ids are assigned by ingestion order (0..N-1); callers'
-    external string ids live in the doc table. `postings` holds views into
-    the flat arrays, and `stats` is counted from them.
+    external string ids live in the doc table. Search reads `doc_ids` and
+    `weights` through a token -> (start, end) map. `postings` (token ->
+    views of ids and bits) and `stats` (counted from the lengths) stay for
+    callers that read an index token by token.
     """
 
     def __init__(
@@ -78,10 +82,14 @@ class InvertedIndex:
         self.lengths = lengths
         self.doc_ids = doc_ids
         self.bits = bits
+        self.weights = dequantize_weights(bits)
         ends = np.cumsum(lengths).tolist()
+        self._spans: dict[int, tuple[int, int]] = dict(
+            zip(tokens.tolist(), zip([0] + ends[:-1], ends))
+        )
         self.postings: dict[int, tuple[np.ndarray, np.ndarray]] = {
             token: (doc_ids[start:end], bits[start:end])
-            for token, start, end in zip(tokens.tolist(), [0] + ends[:-1], ends)
+            for token, (start, end) in self._spans.items()
         }
         self.stats = VocabStats(len(doc_table), dict(zip(tokens.tolist(), lengths.tolist())))
 
@@ -126,24 +134,25 @@ class InvertedIndex:
         scores = np.zeros(self.doc_count, dtype=np.float64)
         # Ascending token order keeps per-doc accumulation order fixed.
         for token, qw in query.items():
-            post = self.postings.get(token)
-            if post is None:
+            span = self._spans.get(token)
+            if span is None:
                 continue
-            ids, bits = post
-            scores[ids] += qw * dequantize_weights(bits)
-        order = np.lexsort((np.arange(self.doc_count), -scores))
-        hits: list[SearchHit] = []
-        for d in order.tolist():
-            if len(hits) >= k or scores[d] <= 0.0:
-                break
-            hits.append(
-                SearchHit(
-                    doc_id=self.doc_table[d].ext_id,
-                    score=float(scores[d]),
-                    rank=len(hits) + 1,
-                )
+            start, end = span
+            scores[self.doc_ids[start:end]] += qw * self.weights[start:end]
+        docs = np.flatnonzero(scores > 0.0)  # a bool mask is far faster to scan than floats
+        top = scores[docs]
+        if docs.size > k:
+            # Keep every doc scoring at least the k-th best, so ties at the
+            # cut are still ordered by doc id below.
+            keep = top >= -np.partition(-top, k - 1)[k - 1]
+            docs, top = docs[keep], top[keep]
+        order = np.lexsort((docs, -top))[:k]
+        return [
+            SearchHit(doc_id=self.doc_table[d].ext_id, score=score, rank=rank)
+            for rank, (d, score) in enumerate(
+                zip(docs[order].tolist(), top[order].tolist()), start=1
             )
-        return hits
+        ]
 
     # -- persistence -------------------------------------------------------
 

@@ -32,14 +32,17 @@ def doc_vector(
 ) -> SparseVector:
     if params is None:
         return plain_doc_vector(model, text)
-    toks = retrieval_tokens(model, text)
-    if not toks:
+    return _expanded_vector(params, retrieval_tokens(model, text))
+
+
+def _expanded_vector(params: EncoderParams, tokens: list[int]) -> SparseVector:
+    if not tokens:
         return SparseVector(())
-    if max(toks) >= params.vocab_size:
+    if max(tokens) >= params.vocab_size:
         raise ValidationError(
-            f"token id {max(toks)} out of range for encoder vocab {params.vocab_size}"
+            f"token id {max(tokens)} out of range for encoder vocab {params.vocab_size}"
         )
-    return encode_doc(params, toks)
+    return encode_doc(params, tokens)
 
 
 def build_sparse_index(
@@ -55,7 +58,7 @@ def build_sparse_index(
 def sparse_query_vector(
     index: InvertedIndex, model: TokenizerModel, text: str
 ) -> SparseVector:
-    return encode_query(model, index.stats, text)
+    return encode_query(index.stats, model.segment(text))
 
 
 def sparse_retrieve(
@@ -69,19 +72,26 @@ def sparse_retrieve(
     return index.search(query, k)
 
 
-def self_match_score(
+def self_match(
     index: InvertedIndex,
     model: TokenizerModel,
     text: str,
     params: EncoderParams | None = None,
-) -> float:
-    """Score of a query against its own document-side encoding.
+) -> tuple[SparseVector, float]:
+    """The query vector of `text` and its score against the text's own
+    document-side encoding, from one segmentation.
 
-    Used to normalize retrieval scores into probability-like [0,1]
-    similarities for the feedback-loop channels.
+    The score normalizes retrieval scores into probability-like [0,1]
+    similarities for the feedback-loop channels. It equals
+    dot_score(query, doc_vector(model, text, params)) bit for bit.
     """
-    query = sparse_query_vector(index, model, text)
-    return dot_score(query, doc_vector(model, text, params))
+    tokens = retrieval_tokens(model, text)
+    query = encode_query(index.stats, tokens)
+    if params is None:
+        # The plain doc vector weights the query's tokens 1.0, so the dot
+        # product is the ascending-order sum of the query weights.
+        return query, sum(query.weights.tolist(), 0.0)
+    return query, dot_score(query, _expanded_vector(params, tokens))
 
 
 def make_sparse_retriever(

@@ -189,14 +189,12 @@ def idf(stats: VocabStats, token: int) -> float:
     return math.log((stats.doc_count + 1) / (df + 1)) + 1.0
 
 
-def encode_query(tokenizer, stats: VocabStats, text: str) -> SparseVector:
-    """Tokenize-and-IDF query encoding: indicator of token presence times IDF.
+def encode_query(stats: VocabStats, tokens: Iterable[int]) -> SparseVector:
+    """IDF query encoding of a segmented query: token presence times IDF.
 
-    The tokenizer normalizes the text. Duplicate tokens contribute once
-    (presence, not frequency). Unknown characters are dropped. Empty text
-    gives an empty vector.
+    Duplicate tokens contribute once (presence, not frequency). Unknown ids
+    (negative) are dropped. No tokens give an empty vector.
     """
-    tokens = tokenizer.segment(text)
     distinct = sorted({t for t in tokens if t >= 0})
     if not distinct:
         return SparseVector()

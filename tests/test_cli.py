@@ -285,6 +285,21 @@ def test_exit_one_on_usage_and_validation_errors(artifacts, corpus_dir, tmp_path
         assert err.startswith(f"error: {bad}:1:"), (argv, line, err)
 
 
+def test_exit_one_on_a_file_that_is_not_utf8(artifacts, corpus_dir, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    docs = ["search", "--method", "trigram", "--query", "x", "--docs", str(bad)]
+    corpus = ["tokenize", "train", "--input", str(bad), "--vocab-size", "50",
+              "--out", str(tmp_path / "tok.tsv")]
+    texts = ["tokenize", "apply", "--model", str(artifacts / "tok.tsv"), "--input", str(bad)]
+    first = (corpus_dir / "docs.jsonl").read_bytes().splitlines(keepends=True)[0]
+    for argv in (docs, corpus, texts):
+        for raw, line in ((b"\xff\xfe{}\n", 1), (first + b"\r\n" + b"caf\xe9\n", 3)):
+            bad.write_bytes(raw)
+            code, _, err = _run(capsys, argv)
+            assert code == 1, (argv, raw)
+            assert err.startswith(f"error: {bad}:{line}: not UTF-8"), (argv, raw, err)
+
+
 def test_exit_two_on_missing_and_corrupt_files(artifacts, tmp_path, capsys):
     code, _, err = _run(
         capsys, ["index", "stats", "--index", str(tmp_path / "nope.idx")]
@@ -329,3 +344,25 @@ def test_index_build_takes_params_or_vectors(artifacts, corpus_dir, tmp_path, ca
     code, _, _ = _run(capsys, base + params + ["--out", str(tmp_path / "params.idx")])
     assert code == 0
     assert (tmp_path / "params.idx").read_bytes() == (artifacts / "enc.idx").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ('{"id": "e00000", "vec": {}}', "'e00000' listed twice"),
+        ('{"id": "nope", "vec": {}}', "'nope' in "),
+    ],
+)
+def test_index_build_rejects_vectors_that_do_not_match_the_docs(
+    artifacts, corpus_dir, tmp_path, capsys, extra, message
+):
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text((artifacts / "vectors.jsonl").read_text(encoding="utf-8") + extra + "\n",
+                       encoding="utf-8")
+    out = tmp_path / "extra.idx"
+    code, _, err = _run(capsys, ["index", "build", "--tokenizer", str(artifacts / "tok.tsv"),
+                                 "--docs", str(corpus_dir / "docs.jsonl"),
+                                 "--vectors", str(vectors), "--out", str(out)])
+    assert code == 1
+    assert message in err
+    assert not out.exists()

@@ -2,11 +2,13 @@ from datetime import date
 
 import pytest
 
+from sfns.encoder import init_params
 from sfns.hci import (
     CHANNEL_KINDS,
     ChannelConfig,
     EpochState,
     HciEntry,
+    _channel_sims_factory,
     entry_table,
     hci_score,
     run_replay,
@@ -14,7 +16,7 @@ from sfns.hci import (
 )
 from sfns.mining import BehaviorLog, LogRecord
 from sfns.sparse import ValidationError
-from sfns.tokenizer import train_unigram
+from sfns.tokenizer import TokenizerModel, train_unigram
 
 D = date(2026, 1, 5)
 
@@ -168,6 +170,28 @@ def test_replay_recall_is_monotone_for_every_channel_kind():
         assert recalls == sorted(recalls), kind
         assert report.fixed_point_epoch is not None, kind
         assert report.fixed_point_epoch <= 15, kind
+
+
+def test_sparse_channel_segments_each_query_once(monkeypatch):
+    variants = ["taylor swift", "tayler swift", "dj ek", "pink"]
+    model = train_unigram(variants, vocab_size=40)
+    queries = ["taylor swift", "taylr swfit", "dj ek", "zzz", ""]
+    for params in (None, init_params(model.vocab_size, 4, seed=2)):
+        sims = _channel_sims_factory(
+            ChannelConfig(kind="sparse", tokenizer=model, encoder_params=params), variants
+        )
+        calls = []
+        segment = TokenizerModel.segment
+
+        def counting(self, text):
+            calls.append(text)
+            return segment(self, text)
+
+        monkeypatch.setattr(TokenizerModel, "segment", counting)
+        for q in queries:
+            sims(q, 3)
+        monkeypatch.undo()
+        assert calls == queries, params
 
 
 def test_replay_fuzzy_channel_recovers_typod_variants():

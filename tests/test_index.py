@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfns._binio import (
     BadMagicError,
@@ -180,6 +182,29 @@ def test_search_matches_brute_force_bitwise_on_random_corpora():
             q = _random_vector(rng, vocab, max_dims=5)
             for k in (1, 3, 50):
                 assert idx.search(q, k) == brute_force_search(idx, q, k), trial
+
+
+_TIE_WEIGHTS = st.sampled_from([0.5, 1.0, 2.0])
+
+
+@st.composite
+def _tie_heavy_case(draw):
+    # Four tokens and three weights make most scores tie, also at the top-k
+    # cut; k runs past the number of docs that score at all.
+    n = draw(st.integers(0, 60))
+    vectors = st.dictionaries(st.integers(0, 3), _TIE_WEIGHTS)
+    docs = draw(st.lists(vectors, min_size=n, max_size=n))
+    query = draw(st.dictionaries(st.integers(0, 4), _TIE_WEIGHTS, min_size=1))
+    return docs, query, draw(st.integers(1, n + 2))
+
+
+@given(_tie_heavy_case())
+@settings(max_examples=300, deadline=None)
+def test_search_matches_brute_force_on_tie_heavy_corpora(case):
+    docs, query, k = case
+    idx = build((f"doc{i}", "", SparseVector(vec.items()), None) for i, vec in enumerate(docs))
+    q = SparseVector(query.items())
+    assert idx.search(q, k) == brute_force_search(idx, q, k)
 
 
 # -- persistence --------------------------------------------------------------

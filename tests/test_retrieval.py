@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from sfns.encoder import EncoderParams
+from sfns.encoder import EncoderParams, init_params
 from sfns.retrieval import (
     build_sparse_index,
     doc_vector,
     make_sparse_retriever,
     plain_doc_vector,
-    self_match_score,
+    self_match,
     sparse_query_vector,
     sparse_retrieve,
 )
@@ -110,12 +110,23 @@ def test_sparse_retrieve_empty_query_returns_nothing():
 def test_self_match_score_is_the_top_score_for_its_own_doc():
     index, model = _catalog_index()
     for text in ("pink", "me", "kip"):
-        ceiling = self_match_score(index, model, text)
+        query, ceiling = self_match(index, model, text)
+        assert query == sparse_query_vector(index, model, text)
         hits = sparse_retrieve(index, model, text, k=10)
         assert hits
         # Quantization can only lower a stored weight slightly; the dominant
         # hit never exceeds the full-precision self score materially.
         assert hits[0].score <= ceiling + 1e-6
+
+
+def test_self_match_equals_dot_score_with_own_doc_vector():
+    index, model = _catalog_index()
+    for params in (None, init_params(model.vocab_size, 3, seed=4)):
+        for text in ("pink", "pink pink me", "kip", "zzz", ""):
+            query, ceiling = self_match(index, model, text, params)
+            expect = dot_score(query, doc_vector(model, text, params))
+            assert type(ceiling) is float
+            assert ceiling.hex() == expect.hex(), (text, params)
 
 
 def test_build_sparse_index_takes_id_text_pairs():

@@ -227,7 +227,7 @@ def test_encode_query_idf_weights():
     model = _fixture_model()
     ids = {piece: model.piece_id(piece) for piece in ("pi", "nk")}
     stats = VocabStats(3, {ids["pi"]: 1, ids["nk"]: 3})
-    q = encode_query(model, stats, "pink")
+    q = encode_query(stats, model.segment("pink"))
     assert list(q.ids) == sorted(ids.values())
     got = {tid: w for tid, w in q.items()}
     assert got[ids["pi"]] == pytest.approx(1.693147, abs=1e-6)
@@ -237,11 +237,12 @@ def test_encode_query_idf_weights():
 def test_encode_query_empty_text():
     model = _fixture_model()
     stats = VocabStats(1, {})
-    assert encode_query(model, stats, "   ").nnz == 0
+    assert encode_query(stats, model.segment("   ")).nnz == 0
+    assert encode_query(stats, [-1, -1]).nnz == 0  # unknown ids drop out
 
 
 def test_encode_query_dedupes_repeated_tokens():
     model = _fixture_model()
     stats = VocabStats(2, {})
-    q = encode_query(model, stats, "pink pink")
+    q = encode_query(stats, model.segment("pink pink"))
     assert len(q.ids) == len(set(q.ids))
