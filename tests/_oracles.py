@@ -30,6 +30,27 @@ def f16_from_bits(bits: int) -> float:
     return sign * (1.0 + frac / 1024.0) * 2.0 ** (exp - 15)
 
 
+def _crc32c_table() -> list[int]:
+    table = []
+    for i in range(256):
+        c = i
+        for _ in range(8):
+            c = (c >> 1) ^ 0x82F63B78 if c & 1 else c >> 1  # reflected Castagnoli
+        table.append(c)
+    return table
+
+
+_CRC32C_TABLE = _crc32c_table()
+
+
+def crc32c_bytewise(data) -> int:
+    """CRC-32C one byte per step, the textbook table-driven loop."""
+    c = 0xFFFFFFFF
+    for b in bytes(data):
+        c = _CRC32C_TABLE[(c ^ b) & 0xFF] ^ (c >> 8)
+    return c ^ 0xFFFFFFFF
+
+
 def dense_dot(a, b) -> float:
     """Dot product via dict accumulation in ascending shared-token order."""
     da = dict(a.items())

@@ -1,8 +1,10 @@
-"""The index surface that perfbench/checks.py reads: `postings`, `stats` and
-served hits. A refactor that drops or reshapes them fails here, not only in a
-benchmark run."""
+"""The surface perfbench reads: `postings`, `stats` and served hits for
+perfbench/checks.py, and every function perfbench/tracing.py hooks. A
+refactor that drops or reshapes them, or a call that skips a hook, fails
+here, not only in a benchmark run."""
 
 import importlib.util
+import inspect
 import random
 from pathlib import Path
 
@@ -12,10 +14,18 @@ from sfns.retrieval import build_sparse_index, sparse_retrieve
 from sfns.sparse import SparseVector
 from sfns.tokenizer import train_unigram
 
-_CHECKS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "checks.py"
-_spec = importlib.util.spec_from_file_location("perfbench_checks", _CHECKS_PATH)
-checks = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(checks)
+_PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_by_path(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checks = _load_by_path("checks")
+tracing = _load_by_path("tracing")
 
 
 def _plain_setup():
@@ -50,3 +60,24 @@ def test_brute_force_scorer_accepts_served_hits():
     hits = sparse_retrieve(index, model, queries[0], 10)
     assert len(hits) > 1
     assert not scorer.check([t for t in model.segment(queries[0]) if t >= 0], hits[::-1], 10)
+
+
+def test_every_trace_hook_resolves():
+    for owner, attr, _ in tracing.HOOKS:
+        inspect.getattr_static(owner, attr)  # AttributeError names the missing hook
+
+
+def test_save_and_load_each_record_a_crc_span(tmp_path):
+    """`binio.crc_s` sums the `_binio.crc32c` spans; the checksum must go
+    through the hooked module global on both paths."""
+    _, _, built = _plain_setup()
+    path = str(tmp_path / "traced.idx")
+    with tracing.Tracer().installed() as tracer:
+        built.save(path)
+        InvertedIndex.load(path)
+    crc_parents = [
+        tracer.names[parent]
+        for name, parent in zip(tracer.names, tracer.parents)
+        if name == "_binio.crc32c"
+    ]
+    assert crc_parents == ["index.save", "index.load"]
