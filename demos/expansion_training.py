@@ -11,11 +11,10 @@ Run: python3 demos/expansion_training.py
 from sfns import (
     TrainConfig,
     VocabStats,
-    build_sparse_index,
     doc_vector,
     hit_ids,
     init_params,
-    make_sparse_retriever,
+    make_retriever,
     mean_nonzero_dims,
     mine_hard_negatives,
     mine_positive_pairs,
@@ -36,9 +35,9 @@ def main():
     print(f"mined {len(pairs)} positive pairs from {len(list(sc.log))} log records")
     print("  e.g.", [(p.q, p.q_pos) for p in pairs[:3]])
 
-    first_pass = make_sparse_retriever(build_sparse_index(model, sc.docs), model)
+    first_pass = make_retriever("sparse", sc.docs, tokenizer=model)
     result = mine_hard_negatives(
-        pairs, lambda q: hit_ids(first_pass(q, 12)), sc.log, n=3
+        pairs, lambda q: hit_ids(first_pass.search(q, 12)), sc.log, n=3
     )
     print(f"attached negatives to {len(result.triples)} pairs "
           f"({result.starved} starved)\n")

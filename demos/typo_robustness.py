@@ -10,16 +10,9 @@ Run: python3 demos/typo_robustness.py
 
 from collections import defaultdict
 
-from sfns import (
-    build_sparse_index,
-    build_trigram_index,
-    hit_ids,
-    make_sparse_retriever,
-    recall_at_k,
-    synth_corpus,
-    train_unigram,
-    trigram_retrieve,
-)
+from sfns import hit_ids, make_retriever, recall_at_k, synth_corpus, train_unigram
+
+METHODS = ("sparse", "trigram")
 
 
 def main():
@@ -27,24 +20,23 @@ def main():
     print(f"catalog: {len(sc.docs)} entities, {len(sc.queries)} queries\n")
 
     model = train_unigram([text for _, text in sc.docs], vocab_size=400)
-    sparse = make_sparse_retriever(build_sparse_index(model, sc.docs), model)
-    tindex = build_trigram_index(sc.docs)
+    retrievers = {m: make_retriever(m, sc.docs, tokenizer=model) for m in METHODS}
 
     by_cat = defaultdict(list)
     for q in sc.queries:
         by_cat[q.category].append(q)
 
-    print(f"{'category':22} {'n':>5} {'sparse R@10':>12} {'trigram R@10':>13}")
+    print(f"{'category':22} {'n':>5}" + "".join(f" {m + ' R@10':>13}" for m in METHODS))
     for cat in sorted(by_cat):
         qs = by_cat[cat]
-        r_sparse = sum(
-            recall_at_k(hit_ids(sparse(q.text, 10)), {q.entity_id}, 10) for q in qs
-        ) / len(qs)
-        r_tri = sum(
-            recall_at_k(hit_ids(trigram_retrieve(tindex, q.text, 10)), {q.entity_id}, 10)
-            for q in qs
-        ) / len(qs)
-        print(f"{cat:22} {len(qs):>5} {r_sparse:>12.3f} {r_tri:>13.3f}")
+        row = f"{cat:22} {len(qs):>5}"
+        for m in METHODS:
+            r = sum(
+                recall_at_k(hit_ids(retrievers[m].search(q.text, 10)), {q.entity_id}, 10)
+                for q in qs
+            ) / len(qs)
+            row += f" {r:>13.3f}"
+        print(row)
 
     print("\nshort_word is the structural failure: every word in those names")
     print("is under three characters, so the trigram index never sees them.")

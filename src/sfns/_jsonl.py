@@ -2,7 +2,7 @@
 blank lines skipped. Each format's row parser sits next to its writer: docs,
 queries and qrels in `evaluation`, the behavior log, pairs and triples in
 `mining`, vectors in `encoder`. `lines` also reads the plain-text tokenizer
-corpora.
+corpora and tokenizer models.
 """
 
 from __future__ import annotations

@@ -29,6 +29,18 @@ class TrigramIndex:
     vocab: dict[str, int]
     index: InvertedIndex
 
+    def search(self, query: str, k: int) -> list[SearchHit]:
+        return trigram_retrieve(self, query, k)
+
+    def search_with_ceiling(self, query: str, top: int) -> tuple[list[SearchHit], float]:
+        """The ceiling is the sum of the query weights, every doc weight
+        being 1.0; numpy's pairwise sum, which ranking ties depend on."""
+        qv = trigram_query_vector(self, query)
+        ceiling = float(np.sum(qv.weights))
+        if ceiling <= 0.0:
+            return [], ceiling
+        return self.index.search(qv, top), ceiling
+
 
 def build_trigram_index(docs: Iterable[tuple[str, str]]) -> TrigramIndex:
     """Index (ext_id, text) docs by their distinct trigrams, weight 1.0 each."""
@@ -174,3 +186,8 @@ class FuzzyRetriever:
             hits.append(SearchHit(doc_id=self.doc_ids[pos], score=score, rank=len(hits) + 1))
         return hits
 
+    def search_with_ceiling(self, query: str, top: int) -> tuple[list[SearchHit], float]:
+        ceiling = self.self_score(query)
+        if ceiling <= 0.0:
+            return [], ceiling
+        return self.search(query, top), ceiling

@@ -88,6 +88,15 @@ def _hits_json(hits) -> list[dict]:
     return [{"id": h.doc_id, "score": h.score, "rank": h.rank} for h in hits]
 
 
+def _add_fuzzy_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-edits", type=int, default=1, dest="max_edits")
+    p.add_argument("--prefix-lock", type=int, default=0, dest="prefix_lock")
+
+
+def _fuzzy_config(args) -> baselines.FuzzyConfig:
+    return baselines.FuzzyConfig(args.max_edits, args.prefix_lock)
+
+
 # -- tokenize -----------------------------------------------------------------
 
 
@@ -216,14 +225,6 @@ def _cmd_index_build(args) -> int:
     return 0
 
 
-def _cmd_index_search(args) -> int:
-    index = InvertedIndex.load(args.index)
-    model = TokenizerModel.load(args.tokenizer)
-    hits = retrieval.sparse_retrieve(index, model, args.query, args.k)
-    _emit(args, {"query": normalize_text(args.query), "hits": _hits_json(hits)}, args.out)
-    return 0
-
-
 def _cmd_index_stats(args) -> int:
     index = InvertedIndex.load(args.index)
     _emit(
@@ -246,17 +247,17 @@ def _cmd_search(args) -> int:
     if args.method == "sparse":
         if not args.index or not args.tokenizer:
             raise ValidationError("--method sparse needs --index and --tokenizer")
-        return _cmd_index_search(args)
-    if not args.docs:
+        retriever = retrieval.SparseRetriever(
+            InvertedIndex.load(args.index), TokenizerModel.load(args.tokenizer)
+        )
+    elif not args.docs:
         raise ValidationError(f"--method {args.method} needs --docs")
-    docs = evaluation.load_docs(args.docs)
-    if args.method == "trigram":
-        tindex = baselines.build_trigram_index((d, t) for d, t, _ in docs)
-        hits = baselines.trigram_retrieve(tindex, args.query, args.k)
     else:
-        config = baselines.FuzzyConfig(args.max_edits, args.prefix_lock)
-        retr = baselines.FuzzyRetriever(((d, t) for d, t, _ in docs), config)
-        hits = retr.search(args.query, args.k)
+        docs = evaluation.load_docs(args.docs)
+        retriever = retrieval.make_retriever(
+            args.method, [(d, t) for d, t, _ in docs], fuzzy=_fuzzy_config(args)
+        )
+    hits = retriever.search(args.query, args.k)
     _emit(args, {"query": normalize_text(args.query), "hits": _hits_json(hits)}, args.out)
     return 0
 
@@ -277,16 +278,13 @@ def _cmd_mine_negatives(args) -> int:
     pairs = mining.load_pairs(args.pairs)
     model = TokenizerModel.load(args.tokenizer)
     params = load_params(args.params) if args.params else None
-    queries = log.queries()
-    qindex = retrieval.build_sparse_index(model, ((q, q) for q in queries), params)
+    retriever = retrieval.make_retriever(
+        "sparse", ((q, q) for q in log.queries()), tokenizer=model, params=params
+    )
     pool = max(50, args.negatives * 5)
-
-    def retrieve(query: str):
-        return [
-            h.doc_id for h in retrieval.sparse_retrieve(qindex, model, query, pool)
-        ]
-
-    result = mining.mine_hard_negatives(pairs, retrieve, log, args.negatives)
+    result = mining.mine_hard_negatives(
+        pairs, lambda q: evaluation.hit_ids(retriever.search(q, pool)), log, args.negatives
+    )
     mining.save_triples(result.triples, args.out)
     _emit(
         args,
@@ -320,37 +318,19 @@ def _cmd_mine_split(args) -> int:
 # -- eval ---------------------------------------------------------------------
 
 
-def _make_retriever(args, docs):
-    if args.method == "sparse":
-        model = TokenizerModel.load(args.tokenizer)
-        params = load_params(args.params) if args.params else None
-        index = retrieval.build_sparse_index(model, [(d, t) for d, t, _ in docs], params)
-        return retrieval.make_sparse_retriever(index, model)
-    if args.method == "trigram":
-        tindex = baselines.build_trigram_index((d, t) for d, t, _ in docs)
-
-        def trigram_retriever(query: str, k: int):
-            return [h.doc_id for h in baselines.trigram_retrieve(tindex, query, k)]
-
-        return trigram_retriever
-    config = baselines.FuzzyConfig(args.max_edits, args.prefix_lock)
-    retr = baselines.FuzzyRetriever(((d, t) for d, t, _ in docs), config)
-
-    def fuzzy_search(query: str, k: int):
-        return [h.doc_id for h in retr.search(query, k)]
-
-    return fuzzy_search
-
-
 def _cmd_eval_run(args) -> int:
-    if args.method == "sparse" and not args.tokenizer:
-        raise ValidationError("--method sparse needs --tokenizer")
     docs = evaluation.load_docs(args.docs)
     queries = evaluation.load_queries(args.queries)
     qrels = evaluation.load_qrels(args.qrels)
-    retriever = _make_retriever(args, docs)
+    retriever = retrieval.make_retriever(
+        args.method,
+        [(d, t) for d, t, _ in docs],
+        tokenizer=TokenizerModel.load(args.tokenizer) if args.tokenizer else None,
+        params=load_params(args.params) if args.params else None,
+        fuzzy=_fuzzy_config(args),
+    )
     ks = _parse_ks(args.k)
-    report = evaluation.run_benchmark(queries, qrels, retriever, ks, args.warmup)
+    report = evaluation.run_benchmark(queries, qrels, retriever.search, ks)
     _emit(args, report.to_dict(), args.out)
     return 0
 
@@ -396,7 +376,7 @@ def _cmd_sim_replay(args) -> int:
         kind=args.channel,
         tokenizer=tokenizer,
         encoder_params=params,
-        fuzzy=baselines.FuzzyConfig(args.max_edits, args.prefix_lock),
+        fuzzy=_fuzzy_config(args),
     )
     report = hci.run_replay(
         log,
@@ -482,14 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_index_build)
 
-    p = idx.add_parser("search")
-    p.add_argument("--index", required=True)
-    p.add_argument("--tokenizer", required=True)
-    p.add_argument("--query", required=True)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_index_search)
-
     p = idx.add_parser("stats")
     p.add_argument("--index", required=True)
     p.add_argument("--out")
@@ -503,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", help="sparse: index blob")
     p.add_argument("--tokenizer", help="sparse: tokenizer model")
     p.add_argument("--docs", help="trigram/fuzzy: docs JSONL")
-    p.add_argument("--max-edits", type=int, default=1, dest="max_edits")
-    p.add_argument("--prefix-lock", type=int, default=0, dest="prefix_lock")
+    _add_fuzzy_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_search)
 
@@ -552,9 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokenizer")
     p.add_argument("--params")
     p.add_argument("--k", default="1,10,25", help="comma-separated cutoffs")
-    p.add_argument("--warmup", type=int, default=3)
-    p.add_argument("--max-edits", type=int, default=1, dest="max_edits")
-    p.add_argument("--prefix-lock", type=int, default=0, dest="prefix_lock")
+    _add_fuzzy_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_eval_run)
 
@@ -601,8 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="replay_all_each_epoch",
     )
-    p.add_argument("--max-edits", type=int, default=1, dest="max_edits")
-    p.add_argument("--prefix-lock", type=int, default=0, dest="prefix_lock")
+    _add_fuzzy_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_sim_replay)
 

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import random
-import time
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from typing import Callable, Mapping, Sequence
@@ -23,7 +22,8 @@ from . import _jsonl
 from .mining import BehaviorLog, LogRecord
 from .sparse import ValidationError, normalize_text
 
-Retriever = Callable[[str, int], Sequence[str]]
+# (query, k) -> ranked ids, or SearchHits whose doc_id is the id.
+Retriever = Callable[[str, int], Sequence]
 
 
 def _check_k(k: int) -> None:
@@ -72,14 +72,12 @@ class BenchmarkReport:
     metrics: dict[int, dict[str, float]]
     evaluated: int
     skipped: int
-    qps: float
 
     def to_dict(self) -> dict:
         return {
             "metrics": {str(k): dict(v) for k, v in sorted(self.metrics.items())},
             "evaluated": self.evaluated,
             "skipped": self.skipped,
-            "qps": self.qps,
         }
 
 
@@ -88,12 +86,10 @@ def run_benchmark(
     qrels: Mapping[str, set],
     retriever: Retriever,
     ks: Sequence[int],
-    warmup: int = 3,
 ) -> BenchmarkReport:
-    """Mean recall/precision/NDCG at each k, plus wall-clock queries/second.
+    """Mean recall/precision/NDCG at each k.
 
-    Queries missing from qrels are counted and excluded. QPS excludes a short
-    warmup and is reported for context only; it never gates anything.
+    Queries missing from qrels are counted and excluded.
     """
     if not ks:
         raise ValidationError("ks must be non-empty")
@@ -102,14 +98,7 @@ def run_benchmark(
     max_k = max(ks)
     evaluated = [q for q in queries if q in qrels]
     skipped = len(queries) - len(evaluated)
-    for q in evaluated[: min(warmup, len(evaluated))]:
-        retriever(q, max_k)
-    results: list[tuple[str, list]] = []
-    start = time.perf_counter()
-    for q in evaluated:
-        results.append((q, list(retriever(q, max_k))))
-    elapsed = time.perf_counter() - start
-    qps = len(evaluated) / elapsed if elapsed > 0 else float("inf")
+    results = [(q, hit_ids(retriever(q, max_k))) for q in evaluated]
     metrics: dict[int, dict[str, float]] = {}
     for k in sorted(set(ks)):
         if not evaluated:
@@ -123,7 +112,7 @@ def run_benchmark(
             n += ndcg_at_k(ids, rel, k)
         count = len(evaluated)
         metrics[k] = {"recall": r / count, "precision": p / count, "ndcg": n / count}
-    return BenchmarkReport(metrics, len(evaluated), skipped, qps)
+    return BenchmarkReport(metrics, len(evaluated), skipped)
 
 
 # -- synthetic corpus ---------------------------------------------------------

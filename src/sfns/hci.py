@@ -15,22 +15,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .baselines import (
-    FuzzyConfig,
-    FuzzyRetriever,
-    build_trigram_index,
-    trigram_query_vector,
-    trigram_retrieve,
-)
+from .baselines import FuzzyConfig, build_trigram_index, trigram_retrieve
 from .encoder import EncoderParams
 from .mining import BehaviorLog
-from .retrieval import build_sparse_index, self_match
+from .retrieval import make_retriever
 
 # perfbench/tracing.py hooks these names on this module, so they stay
 # importable from here until the benchmark retargets its hooks.
-from .retrieval import doc_vector, sparse_query_vector  # noqa: F401
+from .retrieval import build_sparse_index, doc_vector, sparse_query_vector  # noqa: F401
 from .sparse import ValidationError, normalize_text
 from .tokenizer import TokenizerModel
 
@@ -138,10 +130,6 @@ class ChannelConfig:
             raise ValidationError("sparse channel requires a tokenizer")
 
 
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
-
-
 def _channel_sims_factory(
     channel: ChannelConfig, variants: Sequence[str]
 ) -> Callable[[str, int], dict[str, float]]:
@@ -150,50 +138,21 @@ def _channel_sims_factory(
     Similarities are retrieval scores divided by the query's self-match score
     (its score against its own encoding), clamped to [0, 1].
     """
-    kind = channel.kind
-    if kind in ("oracle", "never") or not variants:
+    if channel.kind in ("oracle", "never") or not variants:
         return lambda q, top: {}
+    retriever = make_retriever(
+        channel.kind,
+        ((t, t) for t in variants),
+        tokenizer=channel.tokenizer,
+        params=channel.encoder_params,
+        fuzzy=channel.fuzzy,
+    )
 
-    if kind == "fuzzy":
-        retr = FuzzyRetriever(((t, t) for t in variants), channel.fuzzy)
+    def sims(q: str, top: int) -> dict[str, float]:
+        hits, ceiling = retriever.search_with_ceiling(q, top)
+        return {h.doc_id: min(max(h.score / ceiling, 0.0), 1.0) for h in hits}
 
-        def fuzzy_sims(q: str, top: int) -> dict[str, float]:
-            ceiling = retr.self_score(q)
-            if ceiling <= 0.0:
-                return {}
-            return {h.doc_id: _clamp01(h.score / ceiling) for h in retr.search(q, top)}
-
-        return fuzzy_sims
-
-    if kind == "trigram":
-        tindex = build_trigram_index((t, t) for t in variants)
-
-        def trigram_sims(q: str, top: int) -> dict[str, float]:
-            qv = trigram_query_vector(tindex, q)
-            if not qv:
-                return {}
-            ceiling = float(np.sum(qv.weights))
-            if ceiling <= 0.0:
-                return {}
-            return {
-                h.doc_id: _clamp01(h.score / ceiling)
-                for h in tindex.index.search(qv, top)
-            }
-
-        return trigram_sims
-
-    model = channel.tokenizer
-    sindex = build_sparse_index(model, ((t, t) for t in variants), channel.encoder_params)
-
-    def sparse_sims(q: str, top: int) -> dict[str, float]:
-        qv, ceiling = self_match(sindex, model, q, channel.encoder_params)
-        if ceiling <= 0.0:
-            return {}
-        return {
-            h.doc_id: _clamp01(h.score / ceiling) for h in sindex.search(qv, top)
-        }
-
-    return sparse_sims
+    return sims
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from datetime import date, datetime
 from typing import Callable, Iterable, Sequence
 
 from . import _jsonl
+from .baselines import banded_levenshtein
 from .sparse import ValidationError, normalize_text
 
 logger = logging.getLogger(__name__)
@@ -114,21 +115,6 @@ def _log_row(obj: dict) -> LogRecord:
     )
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance over Unicode code points, two-row DP."""
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
-
-
 def edit_threshold(shorter_len: int) -> int:
     """Allowed edits for a pair whose shorter query has this many characters."""
     return max(1, shorter_len // 10)
@@ -155,7 +141,7 @@ def pair_passes(a: str, b: str) -> bool:
         return False
     if len(shorter) / len(longer) < 0.8:
         return False
-    return levenshtein(a, b) <= edit_threshold(len(shorter))
+    return banded_levenshtein(a, b, edit_threshold(len(shorter))) is not None
 
 
 def mine_positive_pairs(log: BehaviorLog, min_engagements: int = 1) -> list[MinedPair]:

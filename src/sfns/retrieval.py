@@ -4,7 +4,8 @@ Document vectors come either from the tokenizer alone (distinct token ids at
 uniform weight 1.0, the "plain" mode) or from a trained expansion encoder.
 Query vectors never touch the encoder: they are indicator vectors over the
 query's token ids scaled by corpus IDF, so query encoding costs one
-tokenizer pass.
+tokenizer pass. make_retriever builds this method or either baseline behind
+one interface.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Iterable
 import numpy as np
 
 from . import index as index_mod
+from .baselines import FuzzyConfig, FuzzyRetriever, TrigramIndex, build_trigram_index
 from .encoder import EncoderParams, encode_doc
 from .index import InvertedIndex, SearchHit
 from .sparse import SparseVector, ValidationError, dot_score, encode_query
@@ -94,12 +96,55 @@ def self_match(
     return query, dot_score(query, _expanded_vector(params, tokens))
 
 
-def make_sparse_retriever(
-    index: InvertedIndex, model: TokenizerModel
-) -> "callable":
-    """Closure (query, k) -> ranked external ids, for eval and mining."""
+class SparseRetriever:
+    """Sparse retrieval over a built or loaded index; see make_retriever.
 
-    def retrieve(query: str, k: int) -> list[str]:
-        return [h.doc_id for h in sparse_retrieve(index, model, query, k)]
+    params are the encoder params the index's doc vectors came from (None
+    for plain ones); only search_with_ceiling reads them.
+    """
 
-    return retrieve
+    def __init__(
+        self, index: InvertedIndex, model: TokenizerModel, params: EncoderParams | None = None
+    ):
+        self.index = index
+        self.model = model
+        self.params = params
+
+    def search(self, query: str, k: int) -> list[SearchHit]:
+        return sparse_retrieve(self.index, self.model, query, k)
+
+    def search_with_ceiling(self, query: str, top: int) -> tuple[list[SearchHit], float]:
+        qv, ceiling = self_match(self.index, self.model, query, self.params)
+        if ceiling <= 0.0:
+            return [], ceiling
+        return self.index.search(qv, top), ceiling
+
+
+def make_retriever(
+    method: str,
+    docs: Iterable[tuple[str, str]],
+    *,
+    tokenizer: TokenizerModel | None = None,
+    params: EncoderParams | None = None,
+    fuzzy: FuzzyConfig = FuzzyConfig(),
+) -> SparseRetriever | TrigramIndex | FuzzyRetriever:
+    """The "sparse", "trigram" or "fuzzy" retriever over (ext_id, text) docs.
+
+    Each one answers two calls:
+    - search(query, k) -> list[SearchHit], the top k hits;
+    - search_with_ceiling(query, top) -> (hits, ceiling), where ceiling is
+      the query's score against its own doc-side encoding and hits is []
+      when ceiling <= 0.
+
+    Sparse needs the tokenizer, and params expand its doc side; fuzzy
+    configures only the fuzzy matcher.
+    """
+    if method == "sparse":
+        if tokenizer is None:
+            raise ValidationError("sparse retrieval needs a tokenizer")
+        return SparseRetriever(build_sparse_index(tokenizer, docs, params), tokenizer, params)
+    if method == "trigram":
+        return build_trigram_index(docs)
+    if method == "fuzzy":
+        return FuzzyRetriever(docs, fuzzy)
+    raise ValidationError(f"unknown retrieval method {method!r}")

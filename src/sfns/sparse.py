@@ -90,47 +90,14 @@ class SparseVector:
     def items(self) -> Iterator[tuple[int, float]]:
         return zip(self.ids.tolist(), self.weights.tolist())
 
-    def to_dict(self) -> dict[int, float]:
-        return dict(self.items())
-
-    def get(self, tid: int, default: float = 0.0) -> float:
-        i = int(np.searchsorted(self.ids, tid))
-        if i < self.nnz and self.ids[i] == tid:
-            return float(self.weights[i])
-        return default
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVector):
             return NotImplemented
         return np.array_equal(self.ids, other.ids) and np.array_equal(self.weights, other.weights)
 
-    def __hash__(self):
-        return hash((self.ids.tobytes(), self.weights.tobytes()))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{t}:{w:.6g}" for t, w in self.items())
         return f"SparseVector({{{inner}}})"
-
-    def to_line(self) -> str:
-        """One-line text form: space-separated token_id:weight.
-
-        Weights use repr's shortest round-trip form, so from_line(to_line())
-        reproduces the vector exactly.
-        """
-        return " ".join(f"{t}:{w!r}" for t, w in self.items())
-
-    @classmethod
-    def from_line(cls, line: str) -> "SparseVector":
-        line = line.strip()
-        if not line:
-            return cls()
-        pairs = []
-        for field in line.split(" "):
-            tid, _, w = field.partition(":")
-            if not _:
-                raise ValidationError(f"malformed sparse-vector field {field!r}")
-            pairs.append((int(tid), float(w)))
-        return cls(pairs)
 
 
 def dot_score(a: SparseVector, b: SparseVector) -> float:

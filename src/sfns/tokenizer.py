@@ -20,6 +20,8 @@ import re
 from collections import Counter
 from typing import Iterable, Sequence
 
+from . import _jsonl
+from ._binio import StorageError
 from .sparse import ValidationError, normalize_text
 
 logger = logging.getLogger(__name__)
@@ -110,24 +112,35 @@ class TokenizerModel:
 
     @classmethod
     def load(cls, path: str) -> "TokenizerModel":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n")
-            m = _HEADER_RE.match(header)
-            if not m:
-                raise ValidationError(f"{path}: bad tokenizer header {header!r}")
-            max_len, vocab = int(m.group(1)), int(m.group(2))
-            pieces: dict[str, float] = {}
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                piece, sep, lp = line.partition("\t")
-                if not sep:
-                    raise ValidationError(f"{path}:{lineno}: expected piece<TAB>log_prob")
+        """Read a model written by save. A structural fault (header, piece
+        count, a log-prob that is not a number, a duplicate piece, bytes that
+        are not UTF-8) raises StorageError naming path:line."""
+        try:
+            rows = list(_jsonl.lines(path))
+        except ValidationError as exc:
+            raise StorageError(str(exc)) from exc
+        header = rows[0][1].rstrip("\n") if rows and rows[0][0] == 1 else ""
+        m = _HEADER_RE.match(header)
+        if not m:
+            raise StorageError(f"{path}:1: bad tokenizer header {header!r}")
+        max_len, vocab = int(m.group(1)), int(m.group(2))
+        pieces: dict[str, float] = {}
+        for lineno, line in rows[1:]:
+            piece, sep, lp = line.rstrip("\n").partition("\t")
+            if not sep:
+                raise StorageError(f"{path}:{lineno}: expected piece<TAB>log_prob")
+            if piece in pieces:
+                raise StorageError(f"{path}:{lineno}: duplicate piece {piece!r}")
+            try:
                 pieces[piece] = float(lp)
+            except ValueError:
+                raise StorageError(f"{path}:{lineno}: log_prob {lp!r} is not a number") from None
         if len(pieces) != vocab:
-            raise ValidationError(f"{path}: header says {vocab} pieces, found {len(pieces)}")
-        return cls(pieces, max_len)
+            raise StorageError(f"{path}:1: header says {vocab} pieces, found {len(pieces)}")
+        try:
+            return cls(pieces, max_len)
+        except ValidationError as exc:
+            raise StorageError(f"{path}: {exc}") from exc
 
 
 def _viterbi(word: str, lookup, max_len: int, exclude: str | None = None) -> list[str]:

@@ -37,11 +37,10 @@ from sfns.index import InvertedIndex, build
 from sfns.mining import (
     BehaviorLog,
     LogRecord,
-    levenshtein,
     pair_passes,
     split_by_components,
 )
-from sfns.retrieval import build_sparse_index, make_sparse_retriever
+from sfns.retrieval import make_retriever
 from sfns.sparse import SparseVector, VocabStats
 from sfns.tokenizer import TokenizerModel, train_unigram
 
@@ -51,6 +50,7 @@ from _oracles import (
     brute_force_search,
     central_fd,
     kink_margin,
+    levenshtein_matrix as levenshtein,
 )
 
 
@@ -337,7 +337,7 @@ def test_acceptance_6_sparse_beats_trigram_on_typos():
     short = [q for q in sc.queries if q.category == "short_word"]
 
     model = train_unigram([text for _, text in sc.docs], vocab_size=700)
-    sparse = make_sparse_retriever(build_sparse_index(model, sc.docs), model)
+    sparse = make_retriever("sparse", sc.docs, tokenizer=model).search
     tindex = build_trigram_index(sc.docs)
 
     def trigram(q: str, k: int):

@@ -94,7 +94,7 @@ def test_index_search_hit_schema(artifacts, corpus_dir, capsys):
     query = json.loads((corpus_dir / "docs.jsonl").read_text().splitlines()[0])["text"]
     code, out, _ = _run(
         capsys,
-        ["index", "search", "--index", str(artifacts / "plain.idx"),
+        ["search", "--method", "sparse", "--index", str(artifacts / "plain.idx"),
          "--tokenizer", str(artifacts / "tok.tsv"), "--query", query, "--k", "3"],
     )
     assert code == 0
@@ -233,6 +233,8 @@ def test_exit_one_on_usage_and_validation_errors(artifacts, corpus_dir, tmp_path
     capsys.readouterr()
     assert main(["index", "stats", "--no-such-flag"]) == 1
     capsys.readouterr()
+    assert main(["index", "search", "--query", "x"]) == 1  # gone: use search --method sparse
+    capsys.readouterr()
     # Validation error inside a handler: k = 0.
     code, _, err = _run(
         capsys,
@@ -325,11 +327,55 @@ def test_exit_two_on_structurally_invalid_index(artifacts, tmp_path, capsys):
     index.save(str(bad))
     code, out, err = _run(
         capsys,
-        ["index", "search", "--index", str(bad),
+        ["search", "--method", "sparse", "--index", str(bad),
          "--tokenizer", str(artifacts / "tok.tsv"), "--query", "pink"],
     )
     assert code == 2
     assert out == "" and "error:" in err
+
+
+def _corrupt_header(lines):
+    lines[0] = b"#unigram max_len=3"
+
+
+def _drop_last_piece(lines):
+    del lines[-1]
+
+
+def _bad_log_prob(lines):
+    lines[3] = lines[3].split(b"\t")[0] + b"\tabc"
+
+
+def _duplicate_piece(lines):
+    lines[4] = lines[3]
+
+
+def _not_utf8(lines):
+    lines[5] = b"\xff" + lines[5]
+
+
+@pytest.mark.parametrize(
+    "corrupt, line",
+    [
+        (_corrupt_header, 1),
+        (_drop_last_piece, 1),
+        (_bad_log_prob, 4),
+        (_duplicate_piece, 5),
+        (_not_utf8, 6),
+    ],
+)
+def test_exit_two_on_a_corrupt_tokenizer(artifacts, tmp_path, capsys, corrupt, line):
+    lines = (artifacts / "tok.tsv").read_bytes().split(b"\n")[:-1]
+    corrupt(lines)
+    bad = tmp_path / "bad.tsv"
+    bad.write_bytes(b"".join(x + b"\n" for x in lines))
+    code, out, err = _run(
+        capsys,
+        ["search", "--method", "sparse", "--index", str(artifacts / "plain.idx"),
+         "--tokenizer", str(bad), "--query", "pink"],
+    )
+    assert code == 2
+    assert out == "" and err.startswith(f"error: {bad}:{line}: "), err
 
 
 def test_index_build_takes_params_or_vectors(artifacts, corpus_dir, tmp_path, capsys):

