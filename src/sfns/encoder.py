@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import _binio, _jsonl
-from .sparse import SparseVector, ValidationError, VocabStats, idf
+from .sparse import SparseVector, ValidationError, VocabStats
 from .tokenizer import TokenizerModel, retrieval_tokens
 
 logger = logging.getLogger(__name__)
@@ -141,8 +141,9 @@ class Gradients:
 
 def _query_row(item: BatchItem, stats: VocabStats, vocab_size: int) -> np.ndarray:
     row = np.zeros(vocab_size, dtype=np.float64)
+    table, unknown = stats.idf_table, stats.unknown_idf
     for t in {t for t in item.query_tokens if 0 <= t < vocab_size}:
-        row[t] = idf(stats, t)
+        row[t] = table.get(t, unknown)
     return row
 
 

@@ -19,6 +19,7 @@ to back in token order. The file (format v2, little-endian) is exactly that:
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from typing import Iterable
@@ -194,16 +195,32 @@ class InvertedIndex:
 
 
 def _parse_doc_table(path: str, raw: memoryview) -> list[DocEntry]:
+    """The doc table's rows as DocEntry, with the collector paused.
+
+    The parse makes a JSON list and a DocEntry per doc, which the garbage
+    collector tracks, and all of them stay alive until it returns, so a
+    collection during it frees nothing. Left running, those collections
+    move the rows into the oldest generation, and every couple of loads
+    that sets off a full collection over the caller's whole heap. The pause
+    is process-wide and lasts one parse; a collector the caller disabled
+    stays disabled.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        rows = json.loads(str(raw, "utf-8"))
-    except ValueError as exc:  # bad UTF-8 or bad JSON
-        raise _binio.StorageError(f"{path}: the doc table is not UTF-8 JSON ({exc})") from exc
-    if type(rows) is not list:
-        raise _binio.StorageError(f"{path}: the doc table is not a JSON list")
-    for row in rows:
-        if type(row) is not list or [type(field) for field in row] not in _ROW_TYPES:
-            raise _binio.StorageError(f"{path}: doc row {row!r} is not [ext_id, text, payload]")
-    return [DocEntry(*row) for row in rows]
+        try:
+            rows = json.loads(str(raw, "utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise _binio.StorageError(f"{path}: the doc table is not UTF-8 JSON ({exc})") from exc
+        if type(rows) is not list:
+            raise _binio.StorageError(f"{path}: the doc table is not a JSON list")
+        for row in rows:
+            if type(row) is not list or [type(field) for field in row] not in _ROW_TYPES:
+                raise _binio.StorageError(f"{path}: doc row {row!r} is not [ext_id, text, payload]")
+        return [DocEntry(*row) for row in rows]
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _check_postings(path: str, tokens, lengths, doc_ids, bits, n_docs: int) -> None:

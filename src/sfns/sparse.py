@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -27,10 +27,15 @@ _WS_RUN = re.compile(r"\s+")
 def normalize_text(text: str) -> str:
     """NFKC, lowercase, collapse whitespace runs to single spaces, strip.
 
+    Idempotent: lowercasing can leave text that NFKC composes further (Greek
+    capitals with a dialytika or a prosgegrammeni, followed by a combining
+    acute), so non-ASCII text is normalized once more after lower().
     Punctuation is kept on purpose: "p!nk" must stay distinguishable from
     "pink" at the character level.
     """
     text = unicodedata.normalize("NFKC", text).lower()
+    if not text.isascii():
+        text = unicodedata.normalize("NFKC", text)
     return _WS_RUN.sub(" ", text).strip()
 
 
@@ -127,17 +132,29 @@ def dot_score(a: SparseVector, b: SparseVector) -> float:
 
 @dataclass(frozen=True)
 class VocabStats:
-    """Document count plus per-token document frequencies."""
+    """Document count plus per-token document frequencies.
+
+    idf_table holds idf(self, t) for every token in doc_freq and
+    unknown_idf the df=0 value, both computed once here; doc_freq must not
+    change afterwards.
+    """
 
     doc_count: int
     doc_freq: Mapping[int, int]
+    idf_table: dict[int, float] = field(init=False, repr=False, compare=False)
+    unknown_idf: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.doc_count < 0:
+        n = self.doc_count
+        if n < 0:
             raise ValidationError("doc_count must be >= 0")
+        table: dict[int, float] = {}
         for tid, df in self.doc_freq.items():
-            if not 0 <= df <= self.doc_count:
-                raise ValidationError(f"df[{tid}]={df} outside [0, {self.doc_count}]")
+            if not 0 <= df <= n:
+                raise ValidationError(f"df[{tid}]={df} outside [0, {n}]")
+            table[tid] = _idf(n, df)
+        object.__setattr__(self, "idf_table", table)
+        object.__setattr__(self, "unknown_idf", _idf(n, 0))
 
     @classmethod
     def from_token_sets(cls, token_sets: Iterable[Iterable[int]]) -> "VocabStats":
@@ -150,22 +167,27 @@ class VocabStats:
         return cls(n, df)
 
 
+def _idf(doc_count: int, df: int) -> float:
+    return math.log((doc_count + 1) / (df + 1)) + 1.0
+
+
 def idf(stats: VocabStats, token: int) -> float:
     """ln((N+1)/(df+1)) + 1; unknown tokens take df=0, the maximal value."""
-    df = stats.doc_freq.get(token, 0)
-    return math.log((stats.doc_count + 1) / (df + 1)) + 1.0
+    return _idf(stats.doc_count, stats.doc_freq.get(token, 0))
 
 
 def encode_query(stats: VocabStats, tokens: Iterable[int]) -> SparseVector:
     """IDF query encoding of a segmented query: token presence times IDF.
 
     Duplicate tokens contribute once (presence, not frequency). Unknown ids
-    (negative) are dropped. No tokens give an empty vector.
+    (negative) are dropped. No tokens give an empty vector. Weights are read
+    from stats.idf_table, so they equal idf(stats, t) bit for bit.
     """
     distinct = sorted({t for t in tokens if t >= 0})
     if not distinct:
         return SparseVector()
-    weights = np.array([idf(stats, t) for t in distinct], dtype=np.float64)
+    table, unknown = stats.idf_table, stats.unknown_idf
+    weights = np.array([table.get(t, unknown) for t in distinct], dtype=np.float64)
     return SparseVector._raw(np.array(distinct, dtype=np.int64), weights)
 
 

@@ -30,6 +30,11 @@ UNK_ID = -1
 # Additive lattice score for a single unknown character. Any real path beats
 # a path with one more unknown arc, so Viterbi uses as few of them as possible.
 _UNK_SCORE = -1.0e4
+# Words a model keeps segmented (see TokenizerModel._segmented). A replay's
+# working set is a few thousand words. A 50k-name catalog build passes
+# through the memo without keeping every catalog word alive, which would
+# raise peak memory and give the garbage collector more to walk afterwards.
+_MEMO_WORDS = 16384
 
 _HEADER_RE = re.compile(r"^#unigram max_len=(\d+) vocab=(\d+)$")
 
@@ -58,6 +63,7 @@ class TokenizerModel:
         self._piece_to_id = {p: i for i, p in enumerate(ordered)}
         self._id_to_piece = ordered
         self.max_piece_len = max_piece_len
+        self._memo: dict[str, tuple[int, ...]] = {}
 
     @property
     def vocab_size(self) -> int:
@@ -85,14 +91,24 @@ class TokenizerModel:
         whose totals only collide after rounding may resolve either way.
         Characters outside the vocabulary become length-1 unknown arcs.
         """
-        return _viterbi(word, self._log_prob.get, self.max_piece_len)
+        pieces: list[str] = []
+        start = 0
+        for tid in self._segmented(word):
+            piece = word[start] if tid == UNK_ID else self._id_to_piece[tid]
+            pieces.append(piece)
+            start += len(piece)
+        return pieces
 
     def segment(self, text: str) -> list[int]:
         """Token ids for a normalized text, one word at a time.
 
         Unknown characters emit UNK_ID; retrieval_tokens filters them out.
         """
-        return [self._piece_to_id.get(p, UNK_ID) for p in self.segment_pieces(text)]
+        out: list[int] = []
+        for word in normalize_text(text).split(" "):
+            if word:
+                out.extend(self._segmented(word))
+        return out
 
     def segment_pieces(self, text: str) -> list[str]:
         """Piece strings for a text; unknown characters appear verbatim."""
@@ -101,6 +117,25 @@ class TokenizerModel:
             if word:
                 out.extend(self.segment_word(word))
         return out
+
+    def _segmented(self, word: str) -> tuple[int, ...]:
+        """Token ids of one word's Viterbi pieces, from the memo or one pass.
+
+        The model never changes, so an entry never goes stale. The memo is
+        emptied when it reaches _MEMO_WORDS words, which bounds its memory
+        while a working set of that size stays resident. It keeps ids only:
+        the pieces follow from the ids and the word, since an unknown arc is
+        one character long.
+        """
+        ids = self._memo.get(word)
+        if ids is None:
+            lookup = self._piece_to_id.get
+            pieces = _viterbi(word, self._log_prob.get, self.max_piece_len)
+            ids = tuple([lookup(p, UNK_ID) for p in pieces])
+            if len(self._memo) >= _MEMO_WORDS:
+                self._memo.clear()
+            self._memo[word] = ids
+        return ids
 
     # -- persistence -------------------------------------------------------
 

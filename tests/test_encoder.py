@@ -11,6 +11,7 @@ from sfns.encoder import (
     TokenTriple,
     TrainBatch,
     TrainConfig,
+    _query_row,
     encode_doc,
     grad,
     init_params,
@@ -24,7 +25,7 @@ from sfns.encoder import (
     train,
 )
 from sfns.mining import TrainTriple
-from sfns.sparse import SparseVector, ValidationError, VocabStats
+from sfns.sparse import SparseVector, ValidationError, VocabStats, idf
 from sfns.tokenizer import TokenizerModel
 
 from _oracles import central_fd, kink_margin
@@ -42,6 +43,14 @@ def _one_hot_params():
 
 def _stats(vocab: int) -> VocabStats:
     return VocabStats(10, {t: 5 for t in range(vocab)})
+
+
+def test_query_row_weights_equal_idf_bit_for_bit():
+    # Token 0 is in every doc, 1 and 2 in some, 3 in none (df=0); 9 lies
+    # outside the vocab and is dropped.
+    stats = VocabStats(7, {0: 7, 1: 3, 2: 1})
+    row = _query_row(BatchItem((3, 0, 2, 2, 1, 9, -1), ()), stats, 6)
+    assert row.tolist() == [idf(stats, 0), idf(stats, 1), idf(stats, 2), idf(stats, 3), 0.0, 0.0]
 
 
 # -- forward ------------------------------------------------------------------

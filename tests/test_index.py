@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 import struct
@@ -416,3 +417,21 @@ def test_load_rejects_malformed_layout(tmp_path, field, value):
     fields[field] = value
     with pytest.raises(StorageError):
         _load_bytes(tmp_path, _v2_bytes(**fields))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_garbage_collector_as_it_found_it(tmp_path, enabled):
+    # The doc-table parse pauses the collector; a load, good or rejected,
+    # must hand it back in the caller's state.
+    good = _v2_bytes(**_small_fields())
+    bad = _v2_bytes(**{**_small_fields(), "rows": [["d0", "alpha", 7]]})
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert _load_bytes(tmp_path, good) == _small_index()
+        assert gc.isenabled() is enabled
+        with pytest.raises(StorageError):
+            _load_bytes(tmp_path, bad)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()

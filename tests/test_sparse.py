@@ -43,6 +43,30 @@ def test_normalize_idempotent_on_ascii_samples():
         assert normalize_text(once) == once
 
 
+# Greek capitals whose lowercase NFKC composes with a following combining
+# acute (U+0301) only on a second pass.
+_TWO_PASS = ["\u03aa", "\u03ab", "\u03d4", "\u1fbc", "\u1fcc", "\u1ffc"]
+
+
+@pytest.mark.parametrize("cap", _TWO_PASS)
+def test_normalize_idempotent_when_lowercase_recomposes(cap):
+    once = normalize_text(cap + "\u0301")
+    assert normalize_text(once) == once
+
+
+_COMBINING = st.characters(min_codepoint=0x0300, max_codepoint=0x036F)
+_MIXED_TEXT = st.text(
+    st.one_of(st.characters(), _COMBINING, st.sampled_from(_TWO_PASS)), max_size=12
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_MIXED_TEXT)
+def test_normalize_is_idempotent(text):
+    once = normalize_text(text)
+    assert normalize_text(once) == once
+
+
 # -- SparseVector -------------------------------------------------------------
 
 
@@ -204,6 +228,26 @@ def test_idf_formula():
     assert idf(stats, 8) == pytest.approx(1.0)
     # unknown token: df = 0
     assert idf(stats, 99) == pytest.approx(math.log(4.0) + 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 60).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.dictionaries(st.integers(0, 40), st.integers(0, n), max_size=20)
+        )
+    ),
+    st.lists(st.integers(-2, 50), max_size=15),
+)
+def test_encode_query_weights_equal_idf_bit_for_bit(stats_args, tokens):
+    n, df = stats_args
+    if n:
+        df[41] = n  # a token in every doc
+    stats = VocabStats(n, df)
+    distinct = sorted({t for t in tokens + [41, 45] if t >= 0})  # 45 is unknown: df=0
+    q = encode_query(stats, tokens + [41, 45])
+    assert q.ids.tolist() == distinct
+    assert q.weights.tolist() == [idf(stats, t) for t in distinct]
 
 
 # -- query encoding -----------------------------------------------------------

@@ -1,9 +1,13 @@
+import itertools
 import logging
 import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sfns import tokenizer
 from sfns._binio import StorageError
 from sfns.evaluation import synth_corpus
 from sfns.sparse import ValidationError
@@ -91,6 +95,61 @@ def test_retrieval_tokens_excludes_unknowns():
 def test_segments_each_word_independently():
     model = TokenizerModel({"a": -1.0, "b": -2.0, "ab": -1.5}, max_piece_len=2)
     assert model.segment_pieces("ab a  b") == ["ab", "a", "b"]
+
+
+# -- segmentation memo --------------------------------------------------------
+
+_MEMO_MODEL = train_unigram(
+    ["taylor swift", "tayler swift", "pink", "p!nk", "dj ek", "sonidero aczino", "me"],
+    vocab_size=40,
+)
+
+
+def _uncached(model: TokenizerModel, word: str) -> list[str]:
+    return tokenizer._viterbi(word, model.pieces().get, model.max_piece_len)
+
+
+def _ids(model: TokenizerModel, pieces: list[str]) -> list[int]:
+    return [UNK_ID if model.piece_id(p) is None else model.piece_id(p) for p in pieces]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text("aeijkloprstwyz!q", min_size=1, max_size=8), min_size=1, max_size=40))
+def test_memo_changes_no_segmentation(words):
+    # A fresh model per example, and a bound of 8 words so that most
+    # examples pass more distinct words through the memo than it holds.
+    model = TokenizerModel(_MEMO_MODEL.pieces(), _MEMO_MODEL.max_piece_len)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tokenizer, "_MEMO_WORDS", 8)
+        for word in words + words[::-1]:
+            want = _uncached(model, word)
+            got = model.segment_word(word)
+            assert got == want
+            got.append("zz")  # the caller's list is its own
+            assert model.segment_word(word) == want
+            assert model.segment_pieces(word) == want
+            assert model.segment(word) == _ids(model, want)
+            assert len(model._memo) <= 8
+        text = " ".join(words)
+        want = [p for word in words for p in _uncached(model, word)]
+        assert model.segment_pieces(text) == want
+        assert model.segment(text) == _ids(model, want)
+
+
+def test_memo_stays_within_its_bound_past_capacity():
+    model = TokenizerModel(_MEMO_MODEL.pieces(), _MEMO_MODEL.max_piece_len)
+    letters = "aeiklorstwy!"  # 12**4 distinct four-letter words
+    words = ["".join(w) for w in itertools.product(letters, repeat=4)]
+    words = words[: tokenizer._MEMO_WORDS + 500]
+    for i, word in enumerate(words):
+        got = model.segment_word(word)
+        assert len(model._memo) <= tokenizer._MEMO_WORDS
+        if i % 97 == 0:
+            assert got == _uncached(model, word)
+    # The first words were evicted and are segmented again, unchanged.
+    assert model.segment(" ".join(words[:50])) == _ids(
+        model, [p for word in words[:50] for p in _uncached(model, word)]
+    )
 
 
 def test_token_ids_follow_lexicographic_piece_order():
