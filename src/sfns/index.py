@@ -5,7 +5,11 @@ the engine); query weights stay full precision. The bits are decoded to
 float64 once, when the index is constructed; the decode is exact. Search is
 term-at-a-time over the flat arrays with float64 accumulation in ascending
 token order, which makes scores bit-identical to the document-at-a-time
-brute-force oracle, and then ranks only the documents that scored.
+brute-force oracle. It then ranks only the documents that reach a cut: the
+k-th best score among the docs of the shortest touched posting that holds at
+least k docs. At least k docs reach the cut, so the k-th best score overall
+is at least the cut, and the ranking is the same as over every document
+that scored.
 
 Build, save and load share one flat posting layout: ascending token ids, one
 posting length per token, then every posting's doc ids and weight bits back
@@ -21,8 +25,7 @@ from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -46,15 +49,13 @@ class BuildError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class DocEntry:
+class DocEntry(NamedTuple):
     ext_id: str
     text: str
     payload: str | None = None
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     doc_id: str
     score: float
     rank: int
@@ -68,17 +69,23 @@ class InvertedIndex:
     `weights` through a token -> (start, end) map. `postings` (token ->
     views of ids and bits) and `stats` (counted from the lengths) stay for
     callers that read an index token by token.
+
+    The doc table is held as one plain (ext_id, text, payload) tuple per
+    doc. The garbage collector stops tracking a tuple of strings, while a
+    DocEntry per doc stays tracked, so a large index held for a long run
+    would push the caller into extra full collections over its whole heap.
+    `doc_table` builds the DocEntry records on request.
     """
 
     def __init__(
         self,
-        doc_table: list[DocEntry],
+        rows: list[tuple[str, str, str | None]],
         tokens: np.ndarray,
         lengths: np.ndarray,
         doc_ids: np.ndarray,
         bits: np.ndarray,
     ):
-        self.doc_table = doc_table
+        self._rows = rows
         self.tokens = tokens
         self.lengths = lengths
         self.doc_ids = doc_ids
@@ -92,13 +99,18 @@ class InvertedIndex:
             token: (doc_ids[start:end], bits[start:end])
             for token, (start, end) in self._spans.items()
         }
-        self.stats = VocabStats(len(doc_table), dict(zip(tokens.tolist(), lengths.tolist())))
+        self.stats = VocabStats(len(rows), dict(zip(tokens.tolist(), lengths.tolist())))
 
     # -- introspection -----------------------------------------------------
 
     @property
+    def doc_table(self) -> list[DocEntry]:
+        """One DocEntry per doc in doc id order, built on each call."""
+        return list(map(DocEntry._make, self._rows))
+
+    @property
     def doc_count(self) -> int:
-        return len(self.doc_table)
+        return len(self._rows)
 
     @property
     def token_count(self) -> int:
@@ -110,14 +122,14 @@ class InvertedIndex:
 
     @property
     def avg_nonzero_dims(self) -> float:
-        if not self.doc_table:
+        if not self._rows:
             return 0.0
         return self.posting_count / self.doc_count
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, InvertedIndex):
             return NotImplemented
-        return self.doc_table == other.doc_table and all(
+        return self._rows == other._rows and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in _ARRAYS
         )
 
@@ -127,12 +139,19 @@ class InvertedIndex:
         """Exact top-k by dot product; ties break on ascending doc id.
 
         Zero-score documents never appear, so fewer than k hits is normal.
+        Only documents scoring at least a cut are gathered and ranked. The
+        cut is the k-th best score among the docs of the shortest posting
+        the query touches that holds at least k docs: at least k docs reach
+        it, so no top-k doc and no doc tied with the k-th falls below it.
+        When no touched posting holds k docs, every doc that scored is
+        ranked.
         """
         if k < 1:
             raise ValidationError(f"k must be >= 1, got {k}")
-        if not query or not self.doc_table:
+        if not query or not self._rows:
             return []
         scores = np.zeros(self.doc_count, dtype=np.float64)
+        shortest = None  # the shortest posting the query touches that holds >= k docs
         # Ascending token order keeps per-doc accumulation order fixed.
         for token, qw in query.items():
             span = self._spans.get(token)
@@ -140,7 +159,15 @@ class InvertedIndex:
                 continue
             start, end = span
             scores[self.doc_ids[start:end]] += qw * self.weights[start:end]
-        docs = np.flatnonzero(scores > 0.0)  # a bool mask is far faster to scan than floats
+            if end - start >= k and (shortest is None or end - start < shortest[1] - shortest[0]):
+                shortest = span
+        cut = 0.0
+        if shortest is not None:
+            held = scores[self.doc_ids[shortest[0] : shortest[1]]]
+            cut = np.partition(held, held.size - k)[held.size - k]
+        # A bool mask is far faster to scan than floats. The cut is above
+        # zero unless every product underflowed.
+        docs = np.flatnonzero(scores >= cut if cut > 0.0 else scores > 0.0)
         top = scores[docs]
         if docs.size > k:
             # Keep every doc scoring at least the k-th best, so ties at the
@@ -149,7 +176,7 @@ class InvertedIndex:
             docs, top = docs[keep], top[keep]
         order = np.lexsort((docs, -top))[:k]
         return [
-            SearchHit(doc_id=self.doc_table[d].ext_id, score=score, rank=rank)
+            SearchHit(self._rows[d][0], score, rank)
             for rank, (d, score) in enumerate(
                 zip(docs[order].tolist(), top[order].tolist()), start=1
             )
@@ -158,8 +185,7 @@ class InvertedIndex:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str) -> None:
-        rows = [[e.ext_id, e.text, e.payload] for e in self.doc_table]
-        doc_json = json.dumps(rows, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        doc_json = json.dumps(self._rows, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
         body = [_MAGIC, _binio.pack_u16(_VERSION), _binio.pack_u64(len(doc_json)), doc_json]
         body += [_binio.pack_u64(self.token_count), _binio.pack_u64(self.posting_count)]
         for name, dtype in zip(_ARRAYS, ("<u4", "<u4", "<u4", "<u2")):
@@ -183,10 +209,10 @@ class InvertedIndex:
         bits = np.frombuffer(reader.take(2 * n_postings), dtype="<u2")
         if reader.remaining():
             raise _binio.TruncatedError(f"{path}: {reader.remaining()} trailing bytes")
-        doc_table = _parse_doc_table(path, doc_json)
-        _check_postings(path, tokens, lengths, doc_ids, bits, len(doc_table))
+        rows = _parse_doc_table(path, doc_json)
+        _check_postings(path, tokens, lengths, doc_ids, bits, len(rows))
         return cls(
-            doc_table,
+            rows,
             tokens.astype(np.int64),
             lengths.astype(np.int64),
             doc_ids.astype(np.int64),
@@ -194,16 +220,17 @@ class InvertedIndex:
         )
 
 
-def _parse_doc_table(path: str, raw: memoryview) -> list[DocEntry]:
-    """The doc table's rows as DocEntry, with the collector paused.
+def _parse_doc_table(path: str, raw: memoryview) -> list[tuple[str, str, str | None]]:
+    """The doc table's rows as plain tuples, with the collector paused.
 
-    The parse makes a JSON list and a DocEntry per doc, which the garbage
+    The parse makes a JSON list and a tuple per doc, which the garbage
     collector tracks, and all of them stay alive until it returns, so a
     collection during it frees nothing. Left running, those collections
     move the rows into the oldest generation, and every couple of loads
-    that sets off a full collection over the caller's whole heap. The pause
-    is process-wide and lasts one parse; a collector the caller disabled
-    stays disabled.
+    that sets off a full collection over the caller's whole heap. After
+    the parse the lists are freed and the first collection stops tracking
+    the tuples. The pause is process-wide and lasts one parse; a collector
+    the caller disabled stays disabled.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -214,13 +241,31 @@ def _parse_doc_table(path: str, raw: memoryview) -> list[DocEntry]:
             raise _binio.StorageError(f"{path}: the doc table is not UTF-8 JSON ({exc})") from exc
         if type(rows) is not list:
             raise _binio.StorageError(f"{path}: the doc table is not a JSON list")
-        for row in rows:
-            if type(row) is not list or [type(field) for field in row] not in _ROW_TYPES:
-                raise _binio.StorageError(f"{path}: doc row {row!r} is not [ext_id, text, payload]")
-        return [DocEntry(*row) for row in rows]
+        if not _rows_well_typed(rows):
+            for row in rows:  # name the first bad row
+                if type(row) is not list or [type(field) for field in row] not in _ROW_TYPES:
+                    raise _binio.StorageError(
+                        f"{path}: doc row {row!r} is not [ext_id, text, payload]"
+                    )
+        return list(map(tuple, rows))
     finally:
         if enabled:
             gc.enable()
+
+
+def _rows_well_typed(rows: list) -> bool:
+    """True when every row matches _ROW_TYPES, checked a column at a time by
+    passes that run in C rather than by a Python loop over the rows."""
+    if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {3}:
+        return False
+    if not rows:
+        return True
+    ext_ids, texts, payloads = zip(*rows)
+    return (
+        set(map(type, ext_ids)) == {str}
+        and set(map(type, texts)) == {str}
+        and set(map(type, payloads)) <= {str, type(None)}
+    )
 
 
 def _check_postings(path: str, tokens, lengths, doc_ids, bits, n_docs: int) -> None:
@@ -259,7 +304,7 @@ def build(docs: Iterable[tuple]) -> InvertedIndex:
     weight too large for binary16 (65520 or more) is a build error, as are
     duplicate external ids, token ids outside u32 and non-string payloads.
     """
-    doc_table: list[DocEntry] = []
+    rows: list[tuple[str, str, str | None]] = []
     token_parts: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     weight_parts: list[np.ndarray] = [np.empty(0, dtype=np.float64)]
     seen: set[str] = set()
@@ -275,7 +320,7 @@ def build(docs: Iterable[tuple]) -> InvertedIndex:
             raise BuildError(f"doc {ext_id!r}: vector must be a SparseVector")
         if payload is not None and not isinstance(payload, str):
             raise BuildError(f"doc {ext_id!r}: payload must be a string or None")
-        doc_table.append(DocEntry(ext_id, str(text), payload))
+        rows.append((ext_id, str(text), payload))
         token_parts.append(vec.ids)
         weight_parts.append(vec.weights)
 
@@ -286,17 +331,17 @@ def build(docs: Iterable[tuple]) -> InvertedIndex:
     # posting lists strictly increasing doc ids.
     order = np.argsort(tokens, kind="stable")
     sizes = [part.shape[0] for part in token_parts[1:]]
-    doc_ids = np.repeat(np.arange(len(doc_table), dtype=np.int64), sizes)[order]
+    doc_ids = np.repeat(np.arange(len(rows), dtype=np.int64), sizes)[order]
     tokens = tokens[order]
     bits = quantize_weights(np.concatenate(weight_parts)[order])
     if bits.size and bits.max() >= _F16_INF:
         i = int(np.argmax(bits >= _F16_INF))
         raise BuildError(
-            f"doc {doc_table[doc_ids[i]].ext_id!r}: weight for token {tokens[i]} "
+            f"doc {rows[doc_ids[i]][0]!r}: weight for token {tokens[i]} "
             "is too large for binary16"
         )
     keep = bits != 0  # quantization underflow to zero would score nothing
     unique_tokens, lengths = np.unique(tokens[keep], return_counts=True)
     return InvertedIndex(
-        doc_table, unique_tokens, lengths.astype(np.int64), doc_ids[keep], bits[keep]
+        rows, unique_tokens, lengths.astype(np.int64), doc_ids[keep], bits[keep]
     )

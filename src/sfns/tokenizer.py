@@ -21,7 +21,7 @@ from collections import Counter
 from typing import Iterable, Sequence
 
 from . import _jsonl
-from ._binio import StorageError
+from ._binio import StorageError, crc32c
 from .sparse import ValidationError, normalize_text
 
 logger = logging.getLogger(__name__)
@@ -36,7 +36,7 @@ _UNK_SCORE = -1.0e4
 # raise peak memory and give the garbage collector more to walk afterwards.
 _MEMO_WORDS = 16384
 
-_HEADER_RE = re.compile(r"^#unigram max_len=(\d+) vocab=(\d+)$")
+_HEADER_RE = re.compile(r"^#unigram max_len=(\d+) vocab=(\d+)(?: crc32c=([0-9a-f]{8}))?$")
 
 
 class TokenizerModel:
@@ -140,16 +140,24 @@ class TokenizerModel:
     # -- persistence -------------------------------------------------------
 
     def save(self, path: str) -> None:
+        """Write a header line, then one piece<TAB>log_prob line per piece in
+        token id order. The header ends with the CRC-32C of the piece lines'
+        UTF-8 bytes, since an edited piece would shift every later token id."""
+        body = "".join(f"{piece}\t{self._log_prob[piece]!r}\n" for piece in self._id_to_piece)
+        checksum = crc32c(body.encode("utf-8"))
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"#unigram max_len={self.max_piece_len} vocab={self.vocab_size}\n")
-            for piece in self._id_to_piece:
-                fh.write(f"{piece}\t{self._log_prob[piece]!r}\n")
+            fh.write(
+                f"#unigram max_len={self.max_piece_len} vocab={self.vocab_size} "
+                f"crc32c={checksum:08x}\n"
+            )
+            fh.write(body)
 
     @classmethod
     def load(cls, path: str) -> "TokenizerModel":
         """Read a model written by save. A structural fault (header, piece
         count, a log-prob that is not a number, a duplicate piece, bytes that
-        are not UTF-8) raises StorageError naming path:line."""
+        are not UTF-8, a checksum that is missing or does not match) raises
+        StorageError naming path:line."""
         try:
             rows = list(_jsonl.lines(path))
         except ValidationError as exc:
@@ -158,6 +166,11 @@ class TokenizerModel:
         m = _HEADER_RE.match(header)
         if not m:
             raise StorageError(f"{path}:1: bad tokenizer header {header!r}")
+        if m.group(3) is None:
+            raise StorageError(
+                f"{path}:1: the tokenizer header has no crc32c; "
+                "save the model again (sfns tokenize train) to add one"
+            )
         max_len, vocab = int(m.group(1)), int(m.group(2))
         pieces: dict[str, float] = {}
         for lineno, line in rows[1:]:
@@ -172,6 +185,12 @@ class TokenizerModel:
                 raise StorageError(f"{path}:{lineno}: log_prob {lp!r} is not a number") from None
         if len(pieces) != vocab:
             raise StorageError(f"{path}:1: header says {vocab} pieces, found {len(pieces)}")
+        checksum = crc32c("".join(line for _, line in rows[1:]).encode("utf-8"))
+        if checksum != int(m.group(3), 16):
+            raise StorageError(
+                f"{path}:1: the piece lines' crc32c is {checksum:08x}, "
+                f"the header says {m.group(3)}"
+            )
         try:
             return cls(pieces, max_len)
         except ValidationError as exc:

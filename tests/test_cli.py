@@ -354,6 +354,16 @@ def _not_utf8(lines):
     lines[5] = b"\xff" + lines[5]
 
 
+def _rename_piece(lines):
+    # Still well-formed, but every piece after it would take another token id.
+    (i,) = [i for i, line in enumerate(lines) if line.startswith(b"alo\t")]
+    lines[i] = b"zz" + lines[i][3:]
+
+
+def _drop_checksum(lines):
+    lines[0] = lines[0].rsplit(b" ", 1)[0]
+
+
 @pytest.mark.parametrize(
     "corrupt, line",
     [
@@ -362,6 +372,8 @@ def _not_utf8(lines):
         (_bad_log_prob, 4),
         (_duplicate_piece, 5),
         (_not_utf8, 6),
+        (_rename_piece, 1),
+        (_drop_checksum, 1),
     ],
 )
 def test_exit_two_on_a_corrupt_tokenizer(artifacts, tmp_path, capsys, corrupt, line):

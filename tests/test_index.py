@@ -16,7 +16,7 @@ from sfns._binio import (
     VersionError,
     crc32c,
 )
-from sfns.index import BuildError, InvertedIndex, build
+from sfns.index import BuildError, DocEntry, InvertedIndex, SearchHit, build
 from sfns.sparse import SparseVector, ValidationError, VocabStats, quantize_weights
 
 from _oracles import brute_force_search, iter_doc_vectors
@@ -136,6 +136,24 @@ def test_doc_weights_are_quantized_on_ingest():
 
 
 # -- searching ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "record, fields",
+    [
+        (SearchHit("d1", 2.0, 1), {"doc_id": "d1", "score": 2.0, "rank": 1}),
+        (DocEntry("d1", "pink"), {"ext_id": "d1", "text": "pink", "payload": None}),
+    ],
+)
+def test_records_are_immutable_values(record, fields):
+    # Built positionally (payload defaults to None), read by name, never
+    # assigned, and equal and hashed by value.
+    for name, value in fields.items():
+        assert getattr(record, name) == value
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+    twin = type(record)(**fields)
+    assert twin == record and hash(twin) == hash(record)
 
 
 def test_search_scores_and_ranks():
@@ -417,6 +435,23 @@ def test_load_rejects_malformed_layout(tmp_path, field, value):
     fields[field] = value
     with pytest.raises(StorageError):
         _load_bytes(tmp_path, _v2_bytes(**fields))
+
+
+def test_load_names_the_first_bad_doc_row(tmp_path):
+    rows = [["d0", "alpha", None], ["d1", "beta", 7], ["d2", 5, None]]
+    with pytest.raises(StorageError, match=r"doc row \['d1', 'beta', 7\]"):
+        _load_bytes(tmp_path, _v2_bytes(**{**_small_fields(), "rows": rows}))
+
+
+def test_doc_rows_drop_out_of_the_collector(tmp_path):
+    # The collector stops tracking a tuple of strings, so a large index held
+    # for a long run adds nothing to later full collections.
+    built = _small_index()
+    loaded = _load_bytes(tmp_path, _v2_bytes(**_small_fields()))
+    gc.collect()
+    for idx in (built, loaded):
+        assert not any(gc.is_tracked(row) for row in idx._rows)
+        assert idx.doc_table == [DocEntry(*row) for row in idx._rows]
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sfns import tokenizer
-from sfns._binio import StorageError
+from sfns._binio import StorageError, crc32c
 from sfns.evaluation import synth_corpus
 from sfns.sparse import ValidationError
 from sfns.tokenizer import (
@@ -266,8 +266,10 @@ def test_model_load_validates_header_and_count(tmp_path):
     p.write_text("no header\n")
     with pytest.raises(StorageError):
         TokenizerModel.load(str(p))
-    p.write_text("#unigram max_len=3 vocab=2\na\t-1.0\n")
-    with pytest.raises(StorageError):
+    # A valid checksum, so the count is what is wrong.
+    body = "a\t-1.0\n"
+    p.write_text(f"#unigram max_len=3 vocab=2 crc32c={crc32c(body.encode()):08x}\n{body}")
+    with pytest.raises(StorageError, match="header says 2 pieces, found 1"):
         TokenizerModel.load(str(p))
 
 
