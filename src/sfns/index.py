@@ -42,7 +42,6 @@ _MAGIC = b"SFNS"
 _VERSION = 2
 _F16_INF = 0x7C00  # binary16 +inf; every larger pattern is a NaN or negative
 _ARRAYS = ("tokens", "lengths", "doc_ids", "bits")
-_ROW_TYPES = ([str, str, str], [str, str, type(None)])
 
 
 class BuildError(ValueError):
@@ -74,7 +73,7 @@ class InvertedIndex:
     doc. The garbage collector stops tracking a tuple of strings, while a
     DocEntry per doc stays tracked, so a large index held for a long run
     would push the caller into extra full collections over its whole heap.
-    `doc_table` builds the DocEntry records on request.
+    `doc_table` builds the DocEntry records anew on each access.
     """
 
     def __init__(
@@ -105,7 +104,11 @@ class InvertedIndex:
 
     @property
     def doc_table(self) -> list[DocEntry]:
-        """One DocEntry per doc in doc id order, built on each call."""
+        """One DocEntry per doc in doc id order.
+
+        Each access builds a new list of doc_count records, so read it once
+        rather than once per doc; doc_count gives the size for free.
+        """
         return list(map(DocEntry._make, self._rows))
 
     @property
@@ -242,11 +245,10 @@ def _parse_doc_table(path: str, raw: memoryview) -> list[tuple[str, str, str | N
         if type(rows) is not list:
             raise _binio.StorageError(f"{path}: the doc table is not a JSON list")
         if not _rows_well_typed(rows):
-            for row in rows:  # name the first bad row
-                if type(row) is not list or [type(field) for field in row] not in _ROW_TYPES:
-                    raise _binio.StorageError(
-                        f"{path}: doc row {row!r} is not [ext_id, text, payload]"
-                    )
+            # The rule holds for a table exactly when it holds for each row,
+            # so the same check names the first bad row.
+            bad = next((row for row in rows if not _rows_well_typed([row])), None)
+            raise _binio.StorageError(f"{path}: doc row {bad!r} is not [ext_id, text, payload]")
         return list(map(tuple, rows))
     finally:
         if enabled:
@@ -254,8 +256,9 @@ def _parse_doc_table(path: str, raw: memoryview) -> list[tuple[str, str, str | N
 
 
 def _rows_well_typed(rows: list) -> bool:
-    """True when every row matches _ROW_TYPES, checked a column at a time by
-    passes that run in C rather than by a Python loop over the rows."""
+    """True when every row is a list [ext_id: str, text: str, payload: str |
+    None], checked a column at a time by passes that run in C rather than by
+    a Python loop over the rows."""
     if not set(map(type, rows)) <= {list} or not set(map(len, rows)) <= {3}:
         return False
     if not rows:

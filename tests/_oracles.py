@@ -146,8 +146,8 @@ def kink_margin(embed, proj, bias, token_lists) -> float:
 
 def iter_doc_vectors(index: InvertedIndex) -> list[SparseVector]:
     """Reconstruct every document's dequantized vector from the postings."""
-    per_doc_ids: list[list[int]] = [[] for _ in index.doc_table]
-    per_doc_w: list[list[float]] = [[] for _ in index.doc_table]
+    per_doc_ids: list[list[int]] = [[] for _ in range(index.doc_count)]
+    per_doc_w: list[list[float]] = [[] for _ in range(index.doc_count)]
     for token in sorted(index.postings):
         ids, bits = index.postings[token]
         weights = dequantize_weights(bits)
@@ -169,13 +169,14 @@ def brute_force_search(index: InvertedIndex, query: SparseVector, k: int) -> lis
         for doc_id, vec in enumerate(iter_doc_vectors(index))
     ]
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
+    table = index.doc_table
     hits = []
     for score, doc_id in scored:
         if len(hits) >= k or score <= 0.0:
             break
         hits.append(
             SearchHit(
-                doc_id=index.doc_table[doc_id].ext_id, score=score, rank=len(hits) + 1
+                doc_id=table[doc_id].ext_id, score=score, rank=len(hits) + 1
             )
         )
     return hits
